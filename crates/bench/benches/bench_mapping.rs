@@ -1,11 +1,9 @@
 //! Microbenchmark: Algorithm-2 id mapping and the sim counter sweep at
 //! small (ALARM, n=37) through big-network (n=500, n=5000) scale.
 //!
-//! Three kernels per network size:
+//! Two kernels per network size:
 //!
-//! - `map_chunk/strided` — the stride-table mapping (the default).
-//! - `map_chunk/reference` — the original Horner walk, kept as
-//!   [`MappingMode::Reference`] for before/after comparison.
+//! - `map_chunk` — the stride-table mapping.
 //! - `observe_chunk` — mapping plus the full per-event counter sweep on
 //!   the exact tracker (the end-to-end sim UPDATE hot path).
 //!
@@ -13,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsbn_bayes::{BayesianNetwork, NetworkSpec};
-use dsbn_core::{build_tracker, CounterLayout, MappingMode, Scheme, TrackerConfig};
+use dsbn_core::{build_tracker, CounterLayout, Scheme, TrackerConfig};
 use dsbn_datagen::{EventChunk, TrainingStream};
 use std::hint::black_box;
 
@@ -42,20 +40,13 @@ fn bench_map_chunk(c: &mut Criterion) {
         let net = net_for(name);
         let chunk = sample_chunk(&net);
         let mut ids = Vec::new();
-        for mode in [MappingMode::Strided, MappingMode::Reference] {
-            let mut layout = CounterLayout::new(&net);
-            layout.set_mapping(mode);
-            let label = match mode {
-                MappingMode::Strided => "strided",
-                MappingMode::Reference => "reference",
-            };
-            group.bench_function(BenchmarkId::new(label, name), |b| {
-                b.iter(|| {
-                    layout.map_chunk(black_box(&chunk), &mut ids);
-                    black_box(ids.last().copied())
-                })
-            });
-        }
+        let layout = CounterLayout::new(&net);
+        group.bench_function(BenchmarkId::new("strided", name), |b| {
+            b.iter(|| {
+                layout.map_chunk(black_box(&chunk), &mut ids);
+                black_box(ids.last().copied())
+            })
+        });
     }
     group.finish();
 }
@@ -67,17 +58,10 @@ fn bench_observe_chunk(c: &mut Criterion) {
     for name in ["alarm", "big500", "big5000"] {
         let net = net_for(name);
         let chunk = sample_chunk(&net);
-        for mode in [MappingMode::Strided, MappingMode::Reference] {
-            let tc = TrackerConfig::new(Scheme::ExactMle).with_k(8).with_mapping(mode);
-            let mut tracker = build_tracker(&net, &tc);
-            let label = match mode {
-                MappingMode::Strided => "strided",
-                MappingMode::Reference => "reference",
-            };
-            group.bench_function(BenchmarkId::new(label, name), |b| {
-                b.iter(|| tracker.observe_chunk(black_box(&chunk)))
-            });
-        }
+        let mut tracker = build_tracker(&net, &TrackerConfig::new(Scheme::ExactMle).with_k(8));
+        group.bench_function(BenchmarkId::new("strided", name), |b| {
+            b.iter(|| tracker.observe_chunk(black_box(&chunk)))
+        });
     }
     group.finish();
 }

@@ -1,13 +1,8 @@
-//! Big-network hot-path bench: the Algorithm-2 id-mapping cost at 500–5000
-//! variables, before and after the stride-table specialization, in the same
-//! JSON document (`results/bignet.json`) so the improvement is *reported*,
-//! not inferred across files.
-//!
-//! Every (network, scheme, runtime) cell runs twice — once with
-//! [`MappingMode::Reference`] (the pre-stride Horner walk, preserved
-//! verbatim) and once with [`MappingMode::Strided`] — over identical
-//! seeded streams. The two modes are bit-identical in results (pinned in
-//! `tests/bignet_equivalence.rs`); this bench measures only their speed.
+//! Big-network hot-path bench: the per-event cost at 500–5000 variables,
+//! where the Algorithm-2 id mapping and the `2n` counter touches dominate.
+//! (The committed `results/bignet.json` is the archived PR 9 record, which
+//! also timed the since-deleted pre-stride Horner mapping; this bench
+//! writes the same records without the `mapping` axis.)
 //!
 //! ```sh
 //! cargo run --release -p dsbn-bench --bin bignet             # full sweep
@@ -18,15 +13,13 @@
 //! exact,non-uniform` `--touches <sim counter-touch budget>`
 //! `--cluster-touches <cluster budget>` `--k` `--eps` `--seed` `--runs`
 //! `--chunk` `--out <results/<out>.json>` `--quick` `--check` (exit
-//! non-zero unless every events/s is finite and positive, and the two
-//! mappings agree on messages and bytes wherever the run is deterministic).
+//! non-zero unless every events/s is finite and positive).
 //!
 //! The per-event cost is `2n` counter touches, so event budgets are set in
 //! *touches* and divided by `2n` per network: each preset does comparable
 //! total work and the events/s figures expose the per-variable constant.
 //! Three runtimes per preset: `map` is the id-mapping kernel in isolation
-//! (`map_chunk` only, both modes timed interleaved so machine drift
-//! cancels — the cleanest view of the stride-table delta); `sim` drives
+//! (`map_chunk` only); `sim` drives
 //! [`AnyTracker::observe_chunk`] over pre-built [`EventChunk`]s (no
 //! sampling or re-chunking in the timed region); `cluster` is the
 //! end-to-end threaded pipeline, whose throughput on a 1-CPU container is
@@ -35,18 +28,17 @@
 use dsbn_bayes::BayesianNetwork;
 use dsbn_bench::json::Json;
 use dsbn_bench::{json, resolve_networks, Args, LatencyRecorder};
-use dsbn_core::{build_tracker, run_cluster_tracker, MappingMode, Scheme, TrackerConfig};
+use dsbn_core::{build_tracker, run_cluster_tracker, Scheme, TrackerConfig};
 use dsbn_datagen::{EventChunk, TrainingStream};
 use std::time::Instant;
 
-/// One runtime measurement under one mapping mode.
+/// One runtime measurement.
 struct Record {
     network: String,
     n_vars: u64,
     n_counters: u64,
     scheme: &'static str,
     runtime: &'static str,
-    mapping: &'static str,
     events: u64,
     secs: f64,
     events_per_sec: f64,
@@ -62,7 +54,6 @@ impl Record {
             .field("n_counters", Json::UInt(self.n_counters))
             .field("scheme", Json::Str(self.scheme.into()))
             .field("runtime", Json::Str(self.runtime.into()))
-            .field("mapping", Json::Str(self.mapping.into()))
             .field("events", Json::UInt(self.events))
             .field("secs", Json::Num(self.secs))
             .field("events_per_sec", Json::Num(self.events_per_sec))
@@ -70,8 +61,7 @@ impl Record {
             .field("bytes", Json::UInt(self.bytes))
     }
 
-    /// Key of the (network, scheme, runtime) cell this record belongs to —
-    /// the two mapping modes of one cell form a before/after pair.
+    /// The (network, scheme, runtime) cell this record measures.
     fn cell(&self) -> String {
         format!("{}/{}/{}", self.network, self.scheme, self.runtime)
     }
@@ -83,13 +73,6 @@ fn median(values: &[f64]) -> f64 {
         rec.record(v);
     }
     rec.percentile(0.5)
-}
-
-fn mode_name(mode: MappingMode) -> &'static str {
-    match mode {
-        MappingMode::Strided => "strided",
-        MappingMode::Reference => "reference",
-    }
 }
 
 /// Events for a touch budget on an `n`-variable network (2n touches per
@@ -120,57 +103,41 @@ fn materialize_chunks(net: &BayesianNetwork, seed: u64, m: u64) -> Vec<EventChun
 }
 
 /// The mapping kernel in isolation: `map_chunk` over the slabs, no counter
-/// sweep — the cost the stride table attacks, measured without the
-/// protocol work that dominates (and noises up) the end-to-end rows. The
-/// two modes are timed interleaved within each repeat so slow machine
-/// drift cancels out of the comparison.
-fn map_records(net: &BayesianNetwork, m: u64, seed: u64, runs: usize) -> Vec<Record> {
+/// sweep — measured without the protocol work that dominates (and noises
+/// up) the end-to-end rows.
+fn map_record(net: &BayesianNetwork, m: u64, seed: u64, runs: usize) -> Record {
     let chunks = materialize_chunks(net, seed, m);
-    let mut layouts = Vec::new();
-    for mode in [MappingMode::Reference, MappingMode::Strided] {
-        let mut layout = dsbn_core::CounterLayout::new(net);
-        layout.set_mapping(mode);
-        layouts.push((mode, layout, Vec::with_capacity(runs)));
-    }
+    let layout = dsbn_core::CounterLayout::new(net);
+    let mut secs = Vec::with_capacity(runs);
     let mut ids = Vec::new();
     for run in 0..=runs {
-        for (_, layout, secs) in layouts.iter_mut() {
-            let start = Instant::now();
-            for chunk in &chunks {
-                layout.map_chunk(chunk, &mut ids);
-                std::hint::black_box(ids.last().copied());
-            }
-            if run > 0 {
-                secs.push(start.elapsed().as_secs_f64());
-            }
+        let start = Instant::now();
+        for chunk in &chunks {
+            layout.map_chunk(chunk, &mut ids);
+            std::hint::black_box(ids.last().copied());
+        }
+        if run > 0 {
+            secs.push(start.elapsed().as_secs_f64());
         }
     }
-    layouts
-        .iter()
-        .map(|(mode, layout, secs)| {
-            let secs = median(secs);
-            Record {
-                network: net.name().to_owned(),
-                n_vars: net.n_vars() as u64,
-                n_counters: layout.n_counters() as u64,
-                scheme: "-",
-                runtime: "map",
-                mapping: mode_name(*mode),
-                events: m,
-                secs,
-                events_per_sec: if secs > 0.0 { m as f64 / secs } else { f64::NAN },
-                messages: 0,
-                bytes: 0,
-            }
-        })
-        .collect()
+    let secs = median(&secs);
+    Record {
+        network: net.name().to_owned(),
+        n_vars: net.n_vars() as u64,
+        n_counters: layout.n_counters() as u64,
+        scheme: "-",
+        runtime: "map",
+        events: m,
+        secs,
+        events_per_sec: if secs > 0.0 { m as f64 / secs } else { f64::NAN },
+        messages: 0,
+        bytes: 0,
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sim_record(
     net: &BayesianNetwork,
     scheme: Scheme,
-    mode: MappingMode,
     m: u64,
     k: usize,
     eps: f64,
@@ -184,8 +151,7 @@ fn sim_record(
     let mut last = None;
     // Same seed per repeat; iteration 0 is an untimed warmup.
     for run in 0..=runs {
-        let tc =
-            TrackerConfig::new(scheme).with_k(k).with_eps(eps).with_seed(seed).with_mapping(mode);
+        let tc = TrackerConfig::new(scheme).with_k(k).with_eps(eps).with_seed(seed);
         let mut tracker = build_tracker(net, &tc);
         let start = Instant::now();
         for chunk in &chunks {
@@ -204,7 +170,6 @@ fn sim_record(
         n_counters: dsbn_core::CounterLayout::new(net).n_counters() as u64,
         scheme: scheme.name(),
         runtime: "sim",
-        mapping: mode_name(mode),
         events: m,
         secs,
         events_per_sec: if secs > 0.0 { m as f64 / secs } else { f64::NAN },
@@ -217,7 +182,6 @@ fn sim_record(
 fn cluster_record(
     net: &BayesianNetwork,
     scheme: Scheme,
-    mode: MappingMode,
     m: u64,
     k: usize,
     eps: f64,
@@ -230,12 +194,8 @@ fn cluster_record(
     let mut walls = Vec::with_capacity(runs);
     let mut last = None;
     for run in 0..=runs {
-        let tc = TrackerConfig::new(scheme)
-            .with_k(k)
-            .with_eps(eps)
-            .with_seed(seed)
-            .with_chunk(chunk)
-            .with_mapping(mode);
+        let tc =
+            TrackerConfig::new(scheme).with_k(k).with_eps(eps).with_seed(seed).with_chunk(chunk);
         let run_out =
             run_cluster_tracker(net, &tc, events.iter().cloned()).expect("cluster run failed");
         if run > 0 {
@@ -251,7 +211,6 @@ fn cluster_record(
         n_counters: dsbn_core::CounterLayout::new(net).n_counters() as u64,
         scheme: scheme.name(),
         runtime: "cluster",
-        mapping: mode_name(mode),
         events: report.events,
         secs: median(&walls),
         events_per_sec: median(&rates),
@@ -289,48 +248,19 @@ fn main() {
     let runs: usize = args.get("runs", if quick { 1 } else { 3 });
     let chunk: usize = args.get("chunk", 256usize);
     let out = args.get_str("out", "bignet");
-    const MODES: [MappingMode; 2] = [MappingMode::Reference, MappingMode::Strided];
 
     let mut records = Vec::new();
     for net in &nets {
         let m = events_for(touches, net.n_vars());
         let cm = events_for(cluster_touches, net.n_vars());
-        eprintln!("measuring {} / map kernel ({m} events, modes interleaved) ...", net.name());
-        records.extend(map_records(net, m, seed, runs.max(5)));
+        eprintln!("measuring {} / map kernel ({m} events) ...", net.name());
+        records.push(map_record(net, m, seed, runs.max(5)));
         for &scheme in &schemes {
-            for mode in MODES {
-                eprintln!(
-                    "measuring {} / {} / {} (sim, {m} events) ...",
-                    net.name(),
-                    scheme.name(),
-                    mode_name(mode)
-                );
-                records.push(sim_record(net, scheme, mode, m, k, eps, seed, runs));
-            }
-            for mode in MODES {
-                eprintln!(
-                    "measuring {} / {} / {} (cluster, {cm} events) ...",
-                    net.name(),
-                    scheme.name(),
-                    mode_name(mode)
-                );
-                records.push(cluster_record(net, scheme, mode, cm, k, eps, seed, runs, chunk));
-            }
+            eprintln!("measuring {} / {} (sim, {m} events) ...", net.name(), scheme.name());
+            records.push(sim_record(net, scheme, m, k, eps, seed, runs));
+            eprintln!("measuring {} / {} (cluster, {cm} events) ...", net.name(), scheme.name());
+            records.push(cluster_record(net, scheme, cm, k, eps, seed, runs, chunk));
         }
-    }
-
-    // Before/after speedups per (network, scheme, runtime) cell.
-    let mut speedups = Vec::new();
-    for r in &records {
-        if r.mapping != "strided" {
-            continue;
-        }
-        let Some(reference) =
-            records.iter().find(|b| b.mapping == "reference" && b.cell() == r.cell())
-        else {
-            continue;
-        };
-        speedups.push((r.cell(), reference.events_per_sec, r.events_per_sec));
     }
 
     let doc = Json::obj()
@@ -343,27 +273,12 @@ fn main() {
         .field("seed", Json::UInt(seed))
         .field("runs", Json::UInt(runs as u64))
         .field("chunk", Json::UInt(chunk as u64))
-        .field("records", Json::Arr(records.iter().map(Record::to_json).collect()))
-        .field(
-            "speedups",
-            Json::Arr(
-                speedups
-                    .iter()
-                    .map(|(cell, before, after)| {
-                        Json::obj()
-                            .field("cell", Json::Str(cell.clone()))
-                            .field("reference_events_per_sec", Json::Num(*before))
-                            .field("strided_events_per_sec", Json::Num(*after))
-                            .field("speedup", Json::Num(after / before))
-                    })
-                    .collect(),
-            ),
-        );
+        .field("records", Json::Arr(records.iter().map(Record::to_json).collect()));
     let path = json::emit(&doc, &out);
 
     let mut table = dsbn_bench::Table::new(
-        "Big-network hot path (before/after)",
-        &["network", "n", "counters", "scheme", "runtime", "mapping", "events", "events/s"],
+        "Big-network hot path",
+        &["network", "n", "counters", "scheme", "runtime", "events", "events/s"],
     );
     for r in &records {
         table.row(&[
@@ -372,57 +287,25 @@ fn main() {
             r.n_counters.to_string(),
             r.scheme.into(),
             r.runtime.into(),
-            r.mapping.into(),
             r.events.to_string(),
             format!("{:.0}", r.events_per_sec),
         ]);
     }
     println!("{}", table.to_markdown());
-    for (cell, before, after) in &speedups {
-        println!("speedup {cell}: {:.2}x ({before:.0} -> {after:.0} events/s)", after / before);
-    }
     println!("(json: {})", path.display());
 
     if args.has("check") {
-        let mut bad = Vec::new();
-        for r in &records {
-            if !(r.events_per_sec.is_finite() && r.events_per_sec > 0.0) {
-                bad.push(format!("{}: non-finite or zero events/s", r.cell()));
-            }
-        }
-        // Where the pipeline is deterministic, the two mappings must agree
-        // on the paper's traffic tallies exactly: always in the sim (one
-        // thread, one rng sequence), and for the exact scheme on the
-        // cluster (HYZ cluster tallies vary with thread interleaving).
-        for r in records.iter().filter(|r| r.mapping == "strided") {
-            let deterministic = r.runtime == "sim" || r.scheme == "exact";
-            if !deterministic {
-                continue;
-            }
-            if let Some(reference) =
-                records.iter().find(|b| b.mapping == "reference" && b.cell() == r.cell())
-            {
-                if (r.messages, r.bytes) != (reference.messages, reference.bytes) {
-                    bad.push(format!(
-                        "{}: mapping modes disagree: strided {}msg/{}B vs reference {}msg/{}B",
-                        r.cell(),
-                        r.messages,
-                        r.bytes,
-                        reference.messages,
-                        reference.bytes
-                    ));
-                }
-            }
-        }
+        let bad: Vec<String> = records
+            .iter()
+            .filter(|r| !(r.events_per_sec.is_finite() && r.events_per_sec > 0.0))
+            .map(Record::cell)
+            .collect();
         if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("error: {b}");
+            for cell in &bad {
+                eprintln!("error: {cell}: non-finite or zero events/s");
             }
             std::process::exit(1);
         }
-        eprintln!(
-            "check ok: {} records finite and positive, mappings agree on deterministic tallies",
-            records.len()
-        );
+        eprintln!("check ok: {} records finite and positive", records.len());
     }
 }

@@ -8,10 +8,11 @@
 //! - (a) the plain cumulative MLE,
 //! - (b) exponentially decayed MLEs at several half-lives (centralized,
 //!   per-event decay),
-//! - (c) the distributed epoch-ring [`dsbn_core::DecayedTracker`] on the
-//!   simulator (exact and NONUNIFORM counters), and
+//! - (c) the distributed epoch-ring tracker ([`dsbn_core::build_tracker`]
+//!   with [`TrackerConfig::with_decay`]) on the simulator (exact and
+//!   NONUNIFORM counters), and
 //! - (d) the same tracker live on the threaded cluster
-//!   ([`dsbn_core::run_decayed_cluster_tracker`]).
+//!   ([`dsbn_core::run_cluster_tracker`]).
 //!
 //! The expected picture: before the drift the plain MLE is best (it uses
 //! all data); after the drift it stays polluted by pre-drift mass while
@@ -36,8 +37,8 @@ use dsbn_bench::json::Json;
 use dsbn_bench::output::fmt;
 use dsbn_bench::{json, resolve_networks, Args, Table};
 use dsbn_core::{
-    build_decayed_tracker, run_decayed_cluster_tracker, DecayConfig, DecayedMle, EpochDecayConfig,
-    Scheme, Smoothing, TrackerConfig,
+    build_tracker, run_cluster_tracker, DecayConfig, DecayedMle, EpochDecayConfig, Scheme,
+    Smoothing, TrackerConfig,
 };
 use dsbn_datagen::{generate_queries, DriftWorkload, QueryConfig};
 use dsbn_monitor::MessageStats;
@@ -104,15 +105,19 @@ fn run_net(
         .iter()
         .map(|&h| (h, DecayedMle::new(net, DecayConfig::with_half_life(h, smoothing))))
         .collect();
-    let tc_exact =
-        TrackerConfig::new(Scheme::ExactMle).with_k(k).with_seed(seed).with_smoothing(smoothing);
+    let tc_exact = TrackerConfig::new(Scheme::ExactMle)
+        .with_k(k)
+        .with_seed(seed)
+        .with_smoothing(smoothing)
+        .with_decay(*decay);
     let tc_hyz = TrackerConfig::new(Scheme::NonUniform)
         .with_k(k)
         .with_eps(eps)
         .with_seed(seed)
-        .with_smoothing(smoothing);
-    let mut dist_exact = build_decayed_tracker(net, &tc_exact, decay);
-    let mut dist_hyz = build_decayed_tracker(net, &tc_hyz, decay);
+        .with_smoothing(smoothing)
+        .with_decay(*decay);
+    let mut dist_exact = build_tracker(net, &tc_exact);
+    let mut dist_hyz = build_tracker(net, &tc_hyz);
 
     let checkpoints: Vec<u64> = vec![m / 2, m, m + m / 10, m + m / 2, 2 * m];
     let mut position = 0u64;
@@ -149,20 +154,10 @@ fn run_net(
 
     // The same epoch trackers live on the threaded cluster (final models).
     let total = 2 * m;
-    let fwd = run_decayed_cluster_tracker(
-        net,
-        &tc_exact,
-        decay,
-        workload.stream(seed).take(total as usize),
-    )
-    .expect("cluster run failed");
-    let hyz = run_decayed_cluster_tracker(
-        net,
-        &tc_hyz,
-        decay,
-        workload.stream(seed).take(total as usize),
-    )
-    .expect("cluster run failed");
+    let fwd = run_cluster_tracker(net, &tc_exact, workload.stream(seed).take(total as usize))
+        .expect("cluster run failed");
+    let hyz = run_cluster_tracker(net, &tc_hyz, workload.stream(seed).take(total as usize))
+        .expect("cluster run failed");
     records.push(Record {
         net: net.name().to_owned(),
         model: "dist-epoch-exact-cluster".into(),

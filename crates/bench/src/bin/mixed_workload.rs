@@ -65,7 +65,7 @@ fn main() {
     let eps: f64 = args.get("eps", 0.1);
     let seed: u64 = args.get("seed", 1);
     let readers: usize = args.get("readers", if quick { 2 } else { 4 });
-    let snapshot_every: u64 = args.get("snapshot-every", if quick { 2_000 } else { 10_000 });
+    let settle_every: u64 = args.get("snapshot-every", if quick { 2_000 } else { 10_000 });
     let chunk: usize = args.get("chunk", 64);
     let coord_workers: usize = args.get("coord-workers", 1);
     let out = args.get_str("out", "mixed_workload");
@@ -84,13 +84,13 @@ fn main() {
         .with_seed(seed)
         .with_chunk(chunk)
         .with_coord_workers(coord_workers)
-        .with_snapshot_every(snapshot_every)
+        .with_snapshot_every(settle_every)
         .with_publish(hub.clone());
     let server = SnapshotServer::new(net, tc.smoothing, hub.clone());
 
     eprintln!(
         "mixed workload: {} / {} — {m} events, {readers} readers, settlement every \
-         {snapshot_every} events ...",
+         {settle_every} events ...",
         net.name(),
         scheme.name()
     );
@@ -177,7 +177,7 @@ fn main() {
         .field("eps", Json::Num(eps))
         .field("seed", Json::UInt(seed))
         .field("readers", Json::UInt(readers as u64))
-        .field("snapshot_every", Json::UInt(snapshot_every))
+        .field("snapshot_every", Json::UInt(settle_every))
         .field("chunk", Json::UInt(chunk as u64))
         .field("coord_workers", Json::UInt(coord_workers as u64))
         .field(

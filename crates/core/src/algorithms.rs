@@ -3,11 +3,13 @@
 //! deterministic-counter variants used by the counter ablation.
 
 use crate::allocation::{allocate, EpsAllocation, Scheme};
-use crate::layout::{CounterLayout, MappingMode};
+use crate::decay::EpochDecayConfig;
+use crate::layout::CounterLayout;
 use crate::tracker::{BnTracker, Smoothing};
 use dsbn_bayes::classify::CpdSource;
 use dsbn_bayes::network::Assignment;
 use dsbn_bayes::BayesianNetwork;
+use dsbn_counters::protocol::CounterProtocol;
 use dsbn_counters::{DeterministicProtocol, ExactProtocol, HyzProtocol};
 use dsbn_monitor::{MessageStats, Partitioner, SiteFault, SnapshotHub};
 
@@ -46,13 +48,12 @@ pub struct TrackerConfig {
     /// simulator (freeze a [`crate::BnTracker`] via
     /// [`crate::BnTracker::snapshot`] instead).
     pub publish: Option<SnapshotHub>,
-    /// Mid-stream snapshot cadence in events for the *plain* cluster
-    /// tracker: turns on epoch settlements every this many events purely
-    /// as mint points (the served read is the cumulative `settled + open`
-    /// count; no decay semantics). `None` — the default — mints only the
-    /// final snapshot. The decayed cluster tracker ignores this: its decay
-    /// boundary already defines the settlements.
-    pub snapshot_every: Option<u64>,
+    /// Epoch-ring decay (`crate::decay`): every `boundary` events the open
+    /// epoch closes with an exact settlement — on the cluster also a
+    /// mid-stream snapshot mint point — and reads weight closed epochs by
+    /// `lambda^age`. [`EpochDecayConfig::disabled`] — the default — never
+    /// rolls: the paper's tracker, minting only the final snapshot.
+    pub decay: EpochDecayConfig,
     /// Site crash/rejoin fault schedule for the cluster runtime
     /// (`dsbn_monitor::ClusterConfig::faults`): each [`SiteFault`] kills a
     /// site once its local stream passes `kill_at` events and optionally
@@ -60,12 +61,12 @@ pub struct TrackerConfig {
     /// Build seeded random schedules with [`SiteFault::schedule`]. Ignored
     /// by the synchronous simulator.
     pub faults: Vec<SiteFault>,
-    /// Which Algorithm-2 id-mapping implementation the tracker's layout
-    /// runs ([`MappingMode::Strided`] by default). Both modes are
-    /// bit-identical; `Reference` exists for equivalence pinning and
-    /// before/after benchmarking of the stride-table hot path.
-    pub mapping: MappingMode,
 }
+
+/// Epoch-ring capacity behind [`TrackerConfig::with_snapshot_every`]: its
+/// `lambda = 1` reads are cumulative and never touch the ring, so a short
+/// one suffices.
+const SNAPSHOT_RING: usize = 8;
 
 impl TrackerConfig {
     /// Paper defaults for a given scheme.
@@ -80,9 +81,8 @@ impl TrackerConfig {
             chunk: 256,
             coord_workers: 1,
             publish: None,
-            snapshot_every: None,
+            decay: EpochDecayConfig::disabled(),
             faults: Vec::new(),
-            mapping: MappingMode::default(),
         }
     }
 
@@ -139,25 +139,23 @@ impl TrackerConfig {
         self
     }
 
-    /// Mint a mid-stream snapshot every `every` events during plain
-    /// cluster runs (see [`Self::snapshot_every`]).
-    pub fn with_snapshot_every(mut self, every: u64) -> Self {
-        assert!(every >= 1, "snapshot cadence must be >= 1");
-        self.snapshot_every = Some(every);
+    /// Roll epochs per `decay` (see [`Self::decay`]).
+    pub fn with_decay(mut self, decay: EpochDecayConfig) -> Self {
+        self.decay = decay;
         self
+    }
+
+    /// Mint a mid-stream snapshot every `every` events with no decay
+    /// semantics: shorthand for a `lambda = 1` epoch roll, whose reads are
+    /// the cumulative `settled + open` counts.
+    pub fn with_snapshot_every(self, every: u64) -> Self {
+        self.with_decay(EpochDecayConfig::new(1.0, every, SNAPSHOT_RING))
     }
 
     /// Inject a site crash/rejoin schedule into cluster runs (see
     /// [`Self::faults`]).
     pub fn with_faults(mut self, faults: Vec<SiteFault>) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Select the layout's Algorithm-2 mapping implementation (see
-    /// [`Self::mapping`]).
-    pub fn with_mapping(mut self, mapping: MappingMode) -> Self {
-        self.mapping = mapping;
         self
     }
 }
@@ -180,9 +178,9 @@ pub fn per_counter_eps(layout: &CounterLayout, alloc: &EpsAllocation) -> Vec<f64
 }
 
 /// One HYZ protocol instance per counter under `scheme`'s error-budget
-/// allocation — the INIT step every randomized tracker constructor
-/// (plain, cluster, and decayed) shares, so a change to the allocation
-/// plumbing lands in exactly one place.
+/// allocation — the INIT step the simulator and cluster constructors
+/// share, so a change to the allocation plumbing lands in exactly one
+/// place.
 pub(crate) fn hyz_protocols(
     net: &BayesianNetwork,
     layout: &CounterLayout,
@@ -193,30 +191,31 @@ pub(crate) fn hyz_protocols(
     per_counter_eps(layout, &alloc).into_iter().map(HyzProtocol::new).collect()
 }
 
+/// INIT (Algorithm 1) over explicit per-counter protocols: everything but
+/// the protocols comes from `config`.
+fn tracker_over<P: CounterProtocol>(
+    net: &BayesianNetwork,
+    protocols: Vec<P>,
+    config: &TrackerConfig,
+) -> BnTracker<P> {
+    BnTracker::new(net, protocols, config.k, config.partitioner, config.seed, config.smoothing)
+        .with_decay(config.decay)
+}
+
 /// Build a tracker per the paper's Algorithm 1 with the scheme's
 /// `epsfnA`/`epsfnB`.
 pub fn build_tracker(net: &BayesianNetwork, config: &TrackerConfig) -> AnyTracker {
     let layout = CounterLayout::new(net);
-    let mut tracker = match config.scheme {
-        Scheme::ExactMle => AnyTracker::Exact(BnTracker::new(
-            net,
-            vec![ExactProtocol; layout.n_counters()],
-            config.k,
-            config.partitioner,
-            config.seed,
-            config.smoothing,
-        )),
-        scheme => AnyTracker::Randomized(BnTracker::new(
+    match config.scheme {
+        Scheme::ExactMle => {
+            AnyTracker::Exact(tracker_over(net, vec![ExactProtocol; layout.n_counters()], config))
+        }
+        scheme => AnyTracker::Randomized(tracker_over(
             net,
             hyz_protocols(net, &layout, scheme, config.eps),
-            config.k,
-            config.partitioner,
-            config.seed,
-            config.smoothing,
+            config,
         )),
-    };
-    tracker.set_mapping(config.mapping);
-    tracker
+    }
 }
 
 /// Ablation: the same allocation driving deterministic threshold counters
@@ -226,16 +225,7 @@ pub fn build_deterministic_tracker(net: &BayesianNetwork, config: &TrackerConfig
     let alloc = allocate(config.scheme, net, config.eps);
     let protocols: Vec<DeterministicProtocol> =
         per_counter_eps(&layout, &alloc).into_iter().map(DeterministicProtocol::new).collect();
-    let mut tracker = AnyTracker::Deterministic(BnTracker::new(
-        net,
-        protocols,
-        config.k,
-        config.partitioner,
-        config.seed,
-        config.smoothing,
-    ));
-    tracker.set_mapping(config.mapping);
-    tracker
+    AnyTracker::Deterministic(tracker_over(net, protocols, config))
 }
 
 macro_rules! delegate {
@@ -252,12 +242,6 @@ impl AnyTracker {
     /// Observe one event (UPDATE).
     pub fn observe(&mut self, x: &[usize]) {
         delegate!(self, t => t.observe(x))
-    }
-
-    /// Select the layout's Algorithm-2 mapping implementation (see
-    /// [`MappingMode`]).
-    pub fn set_mapping(&mut self, mode: MappingMode) {
-        delegate!(self, t => t.set_mapping(mode))
     }
 
     /// Feed `m` events from a stream.
@@ -280,6 +264,12 @@ impl AnyTracker {
     /// `P~[x]` (QUERY).
     pub fn query(&self, x: &[usize]) -> f64 {
         delegate!(self, t => t.query(x))
+    }
+
+    /// `log P^[x]` of the exact (epoch-decayed) MLE over the same stream
+    /// — the reference of Definition 2 (oracle).
+    pub fn exact_log_query(&self, x: &[usize]) -> f64 {
+        delegate!(self, t => t.exact_log_query(x))
     }
 
     /// Classify `target` given evidence `x` (§V).
@@ -315,6 +305,11 @@ impl AnyTracker {
     /// Events observed.
     pub fn events(&self) -> u64 {
         delegate!(self, t => t.events())
+    }
+
+    /// Epochs closed (always 0 with decay disabled).
+    pub fn epochs(&self) -> u64 {
+        delegate!(self, t => t.epochs())
     }
 
     /// The network structure tracked.

@@ -7,7 +7,11 @@
 //! error-budget allocation, UPDATE (the event → `2n` counter-ids mapping of
 //! Algorithm 2) runs on the site threads, and QUERY (Algorithm 3) is
 //! answered at the coordinator from the final counter estimates via
-//! [`ClusterModel`].
+//! [`ClusterModel`]. With [`TrackerConfig::decay`] rolling, epoch rolls
+//! travel as `Frame::EpochRoll` broadcasts (the cluster's boundaries are
+//! approximate — within channel depth of `B` — while every settlement and
+//! the per-epoch oracle stay exact) and the model reads by the same
+//! `epoch_read` rule as the simulator tracker.
 //!
 //! This is the paper's Fig. 7–8 configuration: the headline experiments
 //! measure BASELINE/UNIFORM/NONUNIFORM running live on a cluster, not bare
@@ -15,8 +19,9 @@
 
 use crate::algorithms::TrackerConfig;
 use crate::allocation::Scheme;
+use crate::decay::EpochDecayConfig;
 use crate::layout::CounterLayout;
-use crate::snapshot::{CptEvaluator, ExactReads};
+use crate::snapshot::{epoch_read, CptEvaluator};
 use crate::tracker::Smoothing;
 use dsbn_bayes::classify::CpdSource;
 use dsbn_bayes::network::Assignment;
@@ -25,25 +30,23 @@ use dsbn_counters::protocol::CounterProtocol;
 use dsbn_counters::ExactProtocol;
 use dsbn_monitor::{chunk_events, run_cluster, ClusterConfig, ClusterError, ClusterReport};
 
-/// Epoch-ring capacity used when [`TrackerConfig::snapshot_every`] turns
-/// on settlement rolling purely for snapshot minting (no decay read ever
-/// touches the ring, so a short ring suffices; cumulative reads come from
-/// the never-truncating settled accumulator).
-const SNAPSHOT_RING: usize = 8;
-
 /// The model a cluster run leaves behind at the coordinator: a queryable
-/// snapshot of the final counter estimates, read with the same smoothing
-/// rules as [`crate::BnTracker`].
+/// snapshot of the final counter reads — the open epoch's estimates
+/// combined with the settled epochs by the run's decay rule — with the
+/// same smoothing rules as [`crate::BnTracker`].
 ///
-/// Also carries the exact per-counter totals (an oracle reconstructed from
-/// site states at shutdown — not visible to a real coordinator) so tests
-/// and experiments can check Definition 2's `e^{±eps}` band directly via
+/// Also carries the exact oracle (reconstructed from site states at
+/// shutdown — not visible to a real coordinator) so tests and experiments
+/// can check Definition 2's `e^{±eps}` band directly via
 /// [`ClusterModel::exact_log_query`].
 #[derive(Debug, Clone)]
 pub struct ClusterModel {
     structure: BayesianNetwork,
     layout: CounterLayout,
+    /// Coordinator reads: the read rule over the open epoch's estimates.
     estimates: Vec<f64>,
+    /// Oracle reads: the same rule over the open epoch's exact counts.
+    exact_reads: Vec<f64>,
     exact_totals: Vec<u64>,
     smoothing: Smoothing,
 }
@@ -75,7 +78,7 @@ impl ClusterModel {
         self.evaluator().counter_pair(i, value, u)
     }
 
-    /// Exact global count of counter `id` (test oracle).
+    /// Exact global count of counter `id` over all epochs (test oracle).
     pub fn exact_total(&self, id: usize) -> u64 {
         self.exact_totals[id]
     }
@@ -90,15 +93,22 @@ impl ClusterModel {
         self.evaluator().query(x)
     }
 
-    /// `log P^[x]` of the *exact MLE* over the same stream, computed from
-    /// the oracle totals with identical smoothing — the reference of
-    /// Definition 2, so `|log_query(x) - exact_log_query(x)| <= eps` is
-    /// exactly the paper's `e^{±eps}` guarantee. Delegates to the same
-    /// evaluator as the estimates, over [`ExactReads`], so the reference
-    /// can never drift from the tracked model's read rules.
+    /// `log P^[x]` of the *exact (epoch-decayed) MLE* over the same
+    /// stream, computed from the oracle counts with identical smoothing —
+    /// the reference of Definition 2, so
+    /// `|log_query(x) - exact_log_query(x)| <= eps` is exactly the paper's
+    /// `e^{±eps}` guarantee (closed epochs are settled exactly; the gap is
+    /// the open epoch's). Delegates to the same evaluator and the same
+    /// read rule as the estimates, so the reference can never drift from
+    /// the tracked model's.
     pub fn exact_log_query(&self, x: &[usize]) -> f64 {
-        let oracle = ExactReads(&self.exact_totals);
-        CptEvaluator::new(&self.structure, &self.layout, &oracle, self.smoothing).log_query(x)
+        CptEvaluator::new(
+            &self.structure,
+            &self.layout,
+            self.exact_reads.as_slice(),
+            self.smoothing,
+        )
+        .log_query(x)
     }
 
     /// Classify `target` given full evidence in `x` (the entry at `target`
@@ -140,7 +150,9 @@ pub struct ClusterTrackerRun {
 /// event. With
 /// `config.coord_workers > 1` the coordinator shards its counter state by
 /// layout-aligned contiguous ranges ([`CounterLayout::shard_starts`]) —
-/// bit-identical results, parallel decode/apply.
+/// bit-identical results, parallel decode/apply. A rolling `decay`
+/// settles an epoch every `boundary` events; each settlement is also a
+/// mid-stream snapshot mint when `publish` is set.
 ///
 /// Fails with a typed [`ClusterError`] (never a panic or a hung join) when
 /// a packet fails to decode or the transport errors.
@@ -152,22 +164,20 @@ pub fn run_cluster_tracker<I>(
 where
     I: Iterator<Item = Assignment>,
 {
-    let mut layout = CounterLayout::new(net);
-    layout.set_mapping(config.mapping);
+    let decay =
+        EpochDecayConfig::new(config.decay.lambda, config.decay.boundary, config.decay.ring);
+    let layout = CounterLayout::new(net);
     let mut cluster = ClusterConfig::new(config.k, config.seed).with_chunk(config.chunk);
     cluster.partitioner = config.partitioner;
     cluster.faults = config.faults.clone();
+    if decay.rolls() {
+        cluster = cluster.with_epochs(decay.boundary, decay.ring);
+    }
     if config.coord_workers > 1 {
         cluster = cluster.with_sharded_coordinator(
             config.coord_workers,
             Some(layout.shard_starts(config.coord_workers)),
         );
-    }
-    // Mid-stream snapshots need settlements to mint at: `snapshot_every`
-    // turns on epoch rolling at that boundary (with no decay semantics —
-    // the cumulative read `settled + open` is what gets served).
-    if let Some(every) = config.snapshot_every {
-        cluster = cluster.with_epochs(every, SNAPSHOT_RING);
     }
     if let Some(hub) = &config.publish {
         cluster = cluster.with_publish(hub.clone());
@@ -182,18 +192,16 @@ where
             run_with(&protocols, &cluster, &layout, events)?
         }
     };
-    // With settlement rolling on, `report.estimates` covers only the open
-    // epoch; the model's reads are the cumulative counts. Without rolling
-    // the estimates pass through verbatim (bit-for-bit — `settled_totals`
-    // is all zeros then, but even an add of 0.0 is skipped).
-    let estimates = if report.epochs > 0 {
-        report.settled_totals.iter().zip(&report.estimates).map(|(s, e)| s + e).collect()
-    } else {
-        report.estimates.clone()
+    // With rolling on, `report.estimates` and `open_epoch_exact_totals`
+    // cover only the open epoch; without it they pass through verbatim.
+    let read = |open: f64, c: usize| {
+        epoch_read(decay.lambda, open, &report.settled_totals, &report.epoch_estimates, c)
     };
+    let n = layout.n_counters();
     let model = ClusterModel {
         structure: net.clone(),
-        estimates,
+        estimates: (0..n).map(|c| read(report.estimates[c], c)).collect(),
+        exact_reads: (0..n).map(|c| read(report.open_epoch_exact_totals[c] as f64, c)).collect(),
         exact_totals: report.exact_totals.clone(),
         smoothing: config.smoothing,
         layout,
@@ -201,7 +209,7 @@ where
     Ok(ClusterTrackerRun { model, report })
 }
 
-pub(crate) fn run_with<P, I>(
+fn run_with<P, I>(
     protocols: &[P],
     cluster: &ClusterConfig,
     layout: &CounterLayout,

@@ -43,29 +43,13 @@
 //! block offsets) lives in one packed [`VarPlan`] record so a variable
 //! costs one sequential cache line, not five scattered array loads.
 //!
-//! The pre-stride mapping is preserved verbatim behind
-//! [`MappingMode::Reference`] — it is the pinned original against which the
-//! equivalence suites (`tests/bignet_equivalence.rs`) and the before/after
-//! bench (`dsbn-bench --bin bignet`, `results/bignet.json`) compare the
-//! specialized path, bit for bit.
+//! The independent check is the Horner walk that already exists in
+//! `dsbn_bayes` ([`BayesianNetwork::parent_config_of`]): the unit tests
+//! here and `tests/bignet_equivalence.rs` pin every mapped id against it.
 
 use dsbn_bayes::BayesianNetwork;
 use dsbn_datagen::EventChunk;
 use serde::{Deserialize, Serialize};
-
-/// Which Algorithm-2 id-mapping implementation a layout uses.
-///
-/// Both produce identical ids (pinned in `tests/bignet_equivalence.rs`);
-/// `Reference` exists so the original mapping stays runnable end to end
-/// for equivalence pinning and before/after benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MappingMode {
-    /// The specialized stride-table kernel (default).
-    #[default]
-    Strided,
-    /// The pre-stride Horner walk over `parent_flat`/`cards`.
-    Reference,
-}
 
 /// Per-variable record of the stride-table mapping: everything the
 /// Algorithm-2 kernel needs for one variable, packed so the per-event sweep
@@ -91,13 +75,6 @@ struct VarPlan {
 pub struct CounterLayout {
     /// Cardinality `J_i` per variable.
     cards: Vec<u32>,
-    /// Sorted parent lists in CSR form: variable `i`'s parents are
-    /// `parent_flat[parent_start[i]..parent_start[i+1]]`. Kept alongside
-    /// the stride table: the reference mapping walks it, and block
-    /// bookkeeping (`shard_starts`, `per_counter`) reads it.
-    parent_flat: Vec<u32>,
-    /// `n_vars + 1` offsets into `parent_flat`.
-    parent_start: Vec<u32>,
     /// Offset of variable `i`'s family block.
     family_offset: Vec<u32>,
     /// Offset of variable `i`'s parent block.
@@ -105,14 +82,11 @@ pub struct CounterLayout {
     /// Parent-configuration count `K_i`.
     parent_configs: Vec<u32>,
     n_counters: u32,
-    /// Interleaved `(parent, multiplier)` pairs, CSR-aligned with
-    /// `parent_flat` (slot `s` is `stride[2s], stride[2s+1]`).
+    /// Interleaved `(parent, multiplier)` pairs in CSR form over the
+    /// sorted parent lists (slot `s` is `stride[2s], stride[2s+1]`).
     stride: Vec<u32>,
     /// Packed per-variable kernel records, in variable order.
     plans: Vec<VarPlan>,
-    /// Which mapping implementation [`Self::map_event`]/[`Self::map_chunk`]
-    /// run (strided by default; see [`MappingMode`]).
-    mapping: MappingMode,
 }
 
 impl CounterLayout {
@@ -167,15 +141,12 @@ impl CounterLayout {
         }
         CounterLayout {
             cards,
-            parent_flat,
-            parent_start,
             family_offset,
             parent_offset,
             parent_configs,
             n_counters: next as u32,
             stride,
             plans,
-            mapping: MappingMode::default(),
         }
     }
 
@@ -187,18 +158,6 @@ impl CounterLayout {
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
         self.cards.len()
-    }
-
-    /// Which mapping implementation this layout runs.
-    pub fn mapping(&self) -> MappingMode {
-        self.mapping
-    }
-
-    /// Select the mapping implementation (bit-identical either way; the
-    /// reference mode exists for equivalence pinning and before/after
-    /// benchmarking — see [`MappingMode`]).
-    pub fn set_mapping(&mut self, mode: MappingMode) {
-        self.mapping = mode;
     }
 
     /// Cardinality `J_i`.
@@ -241,30 +200,11 @@ impl CounterLayout {
         }
     }
 
-    /// The reference (pre-stride) parent-configuration index: a Horner
-    /// walk over the CSR parent list, two indirections per slot. Produces
-    /// the same integer as [`Self::stride_config`] — `Σ x_j · M_j` is the
-    /// expanded Horner form and both are exact over the naturals.
-    #[inline(always)]
-    fn reference_config<G: Fn(usize) -> usize>(&self, i: usize, get: &G) -> usize {
-        let s = self.parent_start[i] as usize;
-        let e = self.parent_start[i + 1] as usize;
-        let mut u = 0usize;
-        for &p in &self.parent_flat[s..e] {
-            u = u * self.cards[p as usize] as usize + get(p as usize);
-        }
-        u
-    }
-
     /// Parent configuration index of variable `i` under assignment `x`
     /// (same convention as [`dsbn_bayes::Cpt::parent_config_index`]).
     #[inline]
     pub fn parent_config_of(&self, i: usize, x: &[usize]) -> usize {
-        let get = |v: usize| x[v];
-        match self.mapping {
-            MappingMode::Strided => self.stride_config(&self.plans[i], &get),
-            MappingMode::Reference => self.reference_config(i, &get),
-        }
+        self.stride_config(&self.plans[i], &|v: usize| x[v])
     }
 
     /// Id of family counter `A_i(x_i, u)`.
@@ -299,33 +239,13 @@ impl CounterLayout {
         }
     }
 
-    /// The reference per-event mapping, `push`-based as it originally was.
-    #[inline(always)]
-    fn reference_append_ids<G: Fn(usize) -> usize>(&self, get: G, out: &mut Vec<u32>) {
-        for i in 0..self.n_vars() {
-            let u = self.reference_config(i, &get);
-            let xi = get(i);
-            debug_assert!(xi < self.cards[i] as usize, "value out of range");
-            out.push(self.family_id(i, xi, u));
-            out.push(self.parent_id(i, u));
-        }
-    }
-
     /// Algorithm 2: the `2n` counter ids incremented by event `x`, written
     /// into `out`.
     pub fn map_event(&self, x: &[usize], out: &mut Vec<u32>) {
         debug_assert_eq!(x.len(), self.n_vars());
         out.clear();
-        match self.mapping {
-            MappingMode::Strided => {
-                out.resize(2 * self.n_vars(), 0);
-                self.event_ids_into(|v| x[v], out);
-            }
-            MappingMode::Reference => {
-                out.reserve(2 * self.n_vars());
-                self.reference_append_ids(|v| x[v], out);
-            }
-        }
+        out.resize(2 * self.n_vars(), 0);
+        self.event_ids_into(|v| x[v], out);
     }
 
     /// [`Self::map_event`] for an event already in `u32` form (the cluster
@@ -333,16 +253,8 @@ impl CounterLayout {
     pub fn map_event_u32(&self, x: &[u32], out: &mut Vec<u32>) {
         debug_assert_eq!(x.len(), self.n_vars());
         out.clear();
-        match self.mapping {
-            MappingMode::Strided => {
-                out.resize(2 * self.n_vars(), 0);
-                self.event_ids_into(|v| x[v] as usize, out);
-            }
-            MappingMode::Reference => {
-                out.reserve(2 * self.n_vars());
-                self.reference_append_ids(|v| x[v] as usize, out);
-            }
-        }
+        out.resize(2 * self.n_vars(), 0);
+        self.event_ids_into(|v| x[v] as usize, out);
     }
 
     /// Bulk Algorithm 2 over a whole [`EventChunk`]: one stride-table sweep
@@ -359,20 +271,10 @@ impl CounterLayout {
             return;
         }
         assert_eq!(chunk.n_vars(), self.n_vars(), "chunk width must match the layout");
-        match self.mapping {
-            MappingMode::Strided => {
-                let n2 = 2 * self.n_vars();
-                out.resize(n2 * chunk.len(), 0);
-                for (ev, ids) in chunk.iter().zip(out.chunks_exact_mut(n2)) {
-                    self.event_ids_into(|v| ev[v] as usize, ids);
-                }
-            }
-            MappingMode::Reference => {
-                out.reserve(2 * self.n_vars() * chunk.len());
-                for ev in chunk.iter() {
-                    self.reference_append_ids(|v| ev[v] as usize, out);
-                }
-            }
+        let n2 = 2 * self.n_vars();
+        out.resize(n2 * chunk.len(), 0);
+        for (ev, ids) in chunk.iter().zip(out.chunks_exact_mut(n2)) {
+            self.event_ids_into(|v| ev[v] as usize, ids);
         }
     }
 
@@ -519,10 +421,11 @@ mod tests {
 
     #[test]
     fn strided_mapping_matches_reference_bit_for_bit() {
-        // The stride-table kernel against the preserved pre-stride Horner
-        // walk, on a network with the full width mix (0/1/2/3+ parents and
-        // inflated domains): every id of every event identical, on the
-        // usize path, the u32 path, and the chunk path.
+        // The stride-table kernel against the independent Horner walk in
+        // `dsbn_bayes` (`BayesianNetwork::parent_config_of`), on networks
+        // with the full width mix (0/1/2/3+ parents and inflated domains):
+        // every id of every event identical, on the usize path, the u32
+        // path, and the chunk path.
         use rand::SeedableRng;
         for net in [
             sprinkler_network(),
@@ -530,37 +433,29 @@ mod tests {
             dsbn_bayes::new_alarm(4).unwrap(),
             NetworkSpec::munin_stress().generate(1).unwrap(),
         ] {
-            let strided = CounterLayout::new(&net);
-            let mut reference = CounterLayout::new(&net);
-            reference.set_mapping(MappingMode::Reference);
-            assert_eq!(strided.mapping(), MappingMode::Strided);
-            assert_eq!(reference.mapping(), MappingMode::Reference);
+            let layout = CounterLayout::new(&net);
             let sampler = dsbn_bayes::AncestralSampler::new(&net);
             let mut rng = rand::rngs::StdRng::seed_from_u64(9);
             let events: Vec<Vec<usize>> = (0..32).map(|_| sampler.sample(&mut rng)).collect();
             let mut chunk = EventChunk::with_capacity(net.n_vars(), events.len());
-            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut walked = Vec::new();
+            let mut ids = Vec::new();
             for x in &events {
                 chunk.push(x);
-                strided.map_event(x, &mut a);
-                reference.map_event(x, &mut b);
-                assert_eq!(a, b, "{} usize path", net.name());
-                let x32: Vec<u32> = x.iter().map(|&v| v as u32).collect();
-                strided.map_event_u32(&x32, &mut a);
-                reference.map_event_u32(&x32, &mut b);
-                assert_eq!(a, b, "{} u32 path", net.name());
+                let from = walked.len();
                 for i in 0..net.n_vars() {
-                    assert_eq!(
-                        strided.parent_config_of(i, x),
-                        reference.parent_config_of(i, x),
-                        "{} var {i}",
-                        net.name()
-                    );
+                    let u = net.parent_config_of(i, x);
+                    walked.push(layout.family_id(i, x[i], u));
+                    walked.push(layout.parent_id(i, u));
                 }
+                layout.map_event(x, &mut ids);
+                assert_eq!(ids, walked[from..], "{} usize path", net.name());
+                let x32: Vec<u32> = x.iter().map(|&v| v as u32).collect();
+                layout.map_event_u32(&x32, &mut ids);
+                assert_eq!(ids, walked[from..], "{} u32 path", net.name());
             }
-            strided.map_chunk(&chunk, &mut a);
-            reference.map_chunk(&chunk, &mut b);
-            assert_eq!(a, b, "{} chunk path", net.name());
+            layout.map_chunk(&chunk, &mut ids);
+            assert_eq!(ids, walked, "{} chunk path", net.name());
         }
     }
 

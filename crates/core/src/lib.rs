@@ -13,7 +13,8 @@
 //! - [`layout`] — dense counter addressing for the `A_i(x, u)` / `A_i(u)`
 //!   counter banks.
 //! - [`tracker`] — Algorithms 1–3: INIT / UPDATE / QUERY over any counter
-//!   protocol, plus Markov-blanket classification (§V).
+//!   protocol, plus Markov-blanket classification (§V). The one tracker:
+//!   the paper's is its never-rolling case, epoch decay its general one.
 //! - [`algorithms`] — one-call constructors for EXACTMLE / BASELINE /
 //!   UNIFORM / NONUNIFORM.
 //! - [`cluster`] — the same trackers on the live threaded cluster runtime
@@ -28,9 +29,10 @@
 //!   ingests (DESIGN.md §7).
 //! - [`median`] — median-of-instances delta-amplification (Theorem 1).
 //! - [`decay`] — time-decayed tracking (the paper's future work (2)):
-//!   the centralized [`decay::DecayedMle`] and the *distributed*
-//!   epoch-ring [`decay::DecayedTracker`] /
-//!   [`decay::run_decayed_cluster_tracker`].
+//!   the centralized [`decay::DecayedMle`] baseline and the
+//!   [`decay::EpochDecayConfig`] that turns the tracker above — sim or
+//!   cluster — into the *distributed* epoch-ring tracker
+//!   ([`TrackerConfig::with_decay`]).
 //! - [`evaluate`] — §VI metrics (error to truth, error to MLE,
 //!   classification error rate).
 //!
@@ -65,15 +67,12 @@ pub mod tracker;
 pub use algorithms::{build_deterministic_tracker, build_tracker, AnyTracker, TrackerConfig};
 pub use allocation::{allocate, gamma_exponent, EpsAllocation, Scheme};
 pub use cluster::{run_cluster_tracker, ClusterModel, ClusterTrackerRun};
-pub use decay::{
-    build_decayed_tracker, run_decayed_cluster_tracker, AnyDecayedTracker, DecayConfig,
-    DecayedClusterModel, DecayedClusterRun, DecayedMle, DecayedTracker, EpochDecayConfig,
-};
+pub use decay::{DecayConfig, DecayedMle, EpochDecayConfig};
 pub use dsbn_monitor::SnapshotHub;
 pub use evaluate::{
     classification_error_rate, errors_to_truth, query_errors, sampled_kl, ErrorSummary,
 };
-pub use layout::{CounterLayout, MappingMode};
+pub use layout::CounterLayout;
 pub use median::{instances_for_delta, MedianTracker};
 pub use serve::SnapshotServer;
 pub use snapshot::{CounterReads, CptEvaluator, CptSnapshot, ExactReads};

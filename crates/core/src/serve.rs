@@ -4,7 +4,7 @@
 //! A [`SnapshotServer`] sits between the monitor layer's
 //! [`SnapshotHub`] (where a cluster coordinator publishes
 //! [`dsbn_monitor::CounterSnapshot`]s at settlements — see
-//! `TrackerConfig::with_publish` / `with_snapshot_every`) and any number
+//! `TrackerConfig::with_publish` / `with_decay`) and any number
 //! of query threads. It resolves each published counter snapshot into a
 //! query-ready [`CptSnapshot`] exactly once (per sequence number) and
 //! caches the result in a second RCU cell, so the reader hot path is two
@@ -47,15 +47,16 @@ pub struct SnapshotServer {
 }
 
 impl SnapshotServer {
-    /// A server for cumulative reads (`settled + open` per counter): the
-    /// plain tracker's semantics.
+    /// A server for cumulative reads (`settled + open` per counter): what
+    /// a run with decay disabled or `lambda = 1` (`with_snapshot_every`)
+    /// reads.
     pub fn new(net: &BayesianNetwork, smoothing: Smoothing, hub: SnapshotHub) -> Self {
         Self::with_decay(net, smoothing, hub, 1.0)
     }
 
-    /// A server for `lambda^age`-decayed reads over the settled epoch
-    /// ring: the decayed tracker's semantics (`lambda = 1` degenerates to
-    /// cumulative reads).
+    /// A server resolving with the run's `lambda`
+    /// (`TrackerConfig::decay.lambda`): `lambda^age`-decayed reads over the
+    /// settled epoch ring, cumulative at `lambda = 1`.
     pub fn with_decay(
         net: &BayesianNetwork,
         smoothing: Smoothing,

@@ -6,7 +6,8 @@
 //! [`CounterLayout`], smoothed into conditional probabilities, and
 //! multiplied (in log space) along the network structure. What differs
 //! between trackers is only *where the reads come from* — live protocol
-//! estimates, a frozen slab, decayed ring sums, or the exact oracle.
+//! estimates, a frozen slab, or the exact oracle — and how a counter's
+//! open epoch combines with its settled ones is one rule, [`epoch_read`].
 //!
 //! [`CptEvaluator`] captures that shared logic once, generic over a
 //! [`CounterReads`] source; the trackers' query methods and every
@@ -38,6 +39,15 @@ impl CounterReads for [f64] {
     }
 }
 
+/// Reads computed on the fly — how an oracle view (exact counts through
+/// the tracked model's read rule) presents as a read source without a
+/// dedicated adaptor type.
+impl<F: Fn(usize) -> f64> CounterReads for F {
+    fn read(&self, id: usize) -> f64 {
+        self(id)
+    }
+}
+
 /// Exact-oracle totals as counter reads — the reference side of
 /// Definition 2, read through the identical smoothing and query path as
 /// the estimates so the reference can never drift from the tracked
@@ -47,6 +57,37 @@ pub struct ExactReads<'a>(pub &'a [u64]);
 impl CounterReads for ExactReads<'_> {
     fn read(&self, id: usize) -> f64 {
         self.0[id] as f64
+    }
+}
+
+/// The one epoch read rule: counter `c`'s read from its open-epoch value
+/// `open` (a live estimate, or the exact count for an oracle), the
+/// never-truncating settled sum `settled`, and the retained closed-epoch
+/// ring `closed` (oldest first, epoch-major — the [`CounterSnapshot`]
+/// shape). Live trackers, [`crate::ClusterModel`], the exact oracles, and
+/// [`CptSnapshot::resolve`] all read through here.
+///
+/// - No closed epoch: `open` verbatim, bit for bit — a tracker that never
+///   rolls is the paper's tracker.
+/// - `lambda >= 1`: the *cumulative* count `settled[c] + open`, however
+///   many epochs the ring has dropped — no decay means no forgetting.
+/// - `lambda < 1`: `open + sum_a lambda^a * closed[age a]`, the most
+///   recently closed epoch at age 1; epochs beyond the ring are dropped,
+///   their weight `lambda^K` bounding the truncation error.
+#[inline]
+pub fn epoch_read(lambda: f64, open: f64, settled: &[f64], closed: &[Vec<f64>], c: usize) -> f64 {
+    if closed.is_empty() {
+        open
+    } else if lambda >= 1.0 {
+        settled[c] + open
+    } else {
+        let mut total = open;
+        let mut weight = 1.0;
+        for epoch in closed.iter().rev() {
+            weight *= lambda;
+            total += weight * epoch[c];
+        }
+        total
     }
 }
 
@@ -161,16 +202,10 @@ pub struct CptSnapshot {
 }
 
 impl CptSnapshot {
-    /// Resolve a counter-layer snapshot into query-ready reads.
-    ///
-    /// With `lambda = 1` each read is the *cumulative* count,
-    /// [`CounterSnapshot::cumulative`] — with no closed epochs that is
-    /// the open estimate verbatim, bit-for-bit, which is what pins the
-    /// final-snapshot ≡ end-of-run equivalence. With `lambda < 1` each
-    /// read is the `lambda^age`-weighted sum over the retained
-    /// closed-epoch ring plus the open estimate — the identical
-    /// operation order as `EpochRing::decayed`, so a served decayed read
-    /// is bit-identical to [`crate::DecayedClusterModel`]'s.
+    /// Resolve a counter-layer snapshot into query-ready reads, each by
+    /// [`epoch_read`] — the rule [`crate::ClusterModel`] reads by, so a
+    /// final snapshot resolved with the run's `lambda` is bit-identical to
+    /// the end-of-run model.
     ///
     /// The empty pre-publish snapshot (`seq == 0`) resolves to all-zero
     /// reads — smoothing turns those into uniform conditionals, so a
@@ -186,19 +221,7 @@ impl CptSnapshot {
                 "counter snapshot does not match the network layout"
             );
             (0..n_counters)
-                .map(|c| {
-                    if lambda >= 1.0 {
-                        snap.cumulative(c)
-                    } else {
-                        let mut total = snap.open[c];
-                        let mut weight = 1.0;
-                        for epoch in snap.closed.iter().rev() {
-                            weight *= lambda;
-                            total += weight * epoch[c];
-                        }
-                        total
-                    }
-                })
+                .map(|c| epoch_read(lambda, snap.open[c], &snap.settled, &snap.closed, c))
                 .collect()
         };
         CptSnapshot {

@@ -5,9 +5,17 @@
 //! observed event to a site, increments the event's `2n` counters
 //! (UPDATE, Algorithm 2), and answers joint-probability queries from the
 //! counter estimates (QUERY, Algorithm 3).
+//!
+//! It is also the epoch-ring tracker of [`crate::decay`]: the paper's
+//! tracker is the one whose single open epoch never rolls
+//! ([`EpochDecayConfig::disabled`], the default). With a finite boundary
+//! every `B`-th event closes the epoch with an exact settlement, and reads
+//! combine the open epoch's live estimate with the settled epochs by the
+//! one read rule of [`crate::snapshot::epoch_read`].
 
+use crate::decay::EpochDecayConfig;
 use crate::layout::CounterLayout;
-use crate::snapshot::{CounterReads, CptEvaluator, CptSnapshot};
+use crate::snapshot::{epoch_read, CounterReads, CptEvaluator, CptSnapshot};
 use dsbn_bayes::classify::CpdSource;
 use dsbn_bayes::network::Assignment;
 use dsbn_bayes::BayesianNetwork;
@@ -18,13 +26,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Events per internal training chunk: [`BnTracker::train`] (and the
-/// decayed variant) maps this many events' counter ids in one bulk CSR
-/// sweep before sweeping the counter arrays. Chunking is an internal
-/// batching of deterministic work — routing and protocol randomness are
-/// drawn per event in stream order — so any chunk size is bit-for-bit
-/// identical to the per-event pipeline (`tests/chunked_equivalence.rs`).
-pub(crate) const TRAIN_CHUNK: usize = 256;
+/// Events per internal training chunk: [`BnTracker::train`] maps this
+/// many events' counter ids in one bulk CSR sweep before sweeping the
+/// counter arrays. Chunking is an internal batching of deterministic work
+/// — routing and protocol randomness are drawn per event in stream order
+/// — so any chunk size is bit-for-bit identical to the per-event pipeline
+/// (`tests/chunked_equivalence.rs`).
+const TRAIN_CHUNK: usize = 256;
 
 /// How conditional probabilities are read off the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,6 +62,16 @@ pub struct BnTracker<P: CounterProtocol> {
     assigner: SiteAssigner,
     rng: SmallRng,
     smoothing: Smoothing,
+    decay: EpochDecayConfig,
+    /// Exact settled count of every closed epoch, summed per counter: a
+    /// roll ends with the sites' exact settlement, so only the open epoch
+    /// is a live protocol estimate. Never truncated, unlike `closed`.
+    settled: Vec<f64>,
+    /// The last `decay.ring` closed epochs' settled counts, oldest first,
+    /// epoch-major (the `CounterSnapshot::closed` shape). Empty until the
+    /// first roll, so a never-rolling tracker pays nothing for it.
+    closed: Vec<Vec<f64>>,
+    epochs: u64,
     ids_buf: Vec<u32>,
     events: u64,
 }
@@ -79,13 +97,26 @@ impl<P: CounterProtocol> BnTracker<P> {
         BnTracker {
             structure: structure.clone(),
             array: CounterArray::new(protocols, k),
+            settled: vec![0.0; layout.n_counters()],
             layout,
             assigner: SiteAssigner::new(partitioner, k),
             rng: SmallRng::seed_from_u64(seed),
             smoothing,
+            decay: EpochDecayConfig::disabled(),
+            closed: Vec::new(),
+            epochs: 0,
             ids_buf: Vec::new(),
             events: 0,
         }
+    }
+
+    /// Roll epochs per `decay` (set before the first event). Routing and
+    /// protocol randomness are untouched, so until the first boundary the
+    /// tracker is bit-for-bit the never-rolling one.
+    pub fn with_decay(mut self, decay: EpochDecayConfig) -> Self {
+        assert_eq!(self.events, 0, "set the decay configuration before observing events");
+        self.decay = EpochDecayConfig::new(decay.lambda, decay.boundary, decay.ring);
+        self
     }
 
     /// The network structure the tracker maintains parameters for.
@@ -98,18 +129,18 @@ impl<P: CounterProtocol> BnTracker<P> {
         &self.layout
     }
 
-    /// Select the layout's Algorithm-2 mapping implementation
-    /// (bit-identical either way; see [`crate::layout::MappingMode`]).
-    pub fn set_mapping(&mut self, mode: crate::layout::MappingMode) {
-        self.layout.set_mapping(mode);
-    }
-
-    /// Events observed so far.
+    /// Events observed so far (all epochs).
     pub fn events(&self) -> u64 {
         self.events
     }
 
-    /// Communication so far (paper message accounting).
+    /// Epochs closed so far (always 0 with decay disabled).
+    pub fn epochs(&self) -> u64 {
+        self.epochs
+    }
+
+    /// Communication so far, cumulative across epochs (paper message
+    /// accounting; roll control frames count bytes only).
     pub fn stats(&self) -> MessageStats {
         self.array.stats()
     }
@@ -137,6 +168,9 @@ impl<P: CounterProtocol> BnTracker<P> {
         self.array.observe_event(site, &ids, &mut self.rng);
         self.ids_buf = ids;
         self.events += 1;
+        if self.events.is_multiple_of(self.decay.boundary) {
+            self.roll_epoch();
+        }
     }
 
     /// Observe a whole [`EventChunk`]: one bulk CSR sweep maps every
@@ -145,16 +179,30 @@ impl<P: CounterProtocol> BnTracker<P> {
     /// flat id slab event by event ([`CounterArray::observe_chunk`]) —
     /// routing and protocol randomness interleave per event exactly as in
     /// [`Self::observe`], so the result is bit-for-bit the per-event
-    /// pipeline's.
+    /// pipeline's. An epoch boundary inside the chunk splits the slab
+    /// there (mapping is layout-only, so the upfront sweep is unaffected
+    /// by the roll's state reset); with decay disabled the boundary is
+    /// never reached and the whole slab is one bulk call.
     pub fn observe_chunk(&mut self, chunk: &EventChunk) {
         if chunk.is_empty() {
             return;
         }
         let mut ids = std::mem::take(&mut self.ids_buf);
         self.layout.map_chunk(chunk, &mut ids);
-        self.array.observe_chunk(&mut self.assigner, &ids, 2 * self.layout.n_vars(), &mut self.rng);
+        let stride = 2 * self.layout.n_vars();
+        let mut rest = ids.as_slice();
+        while !rest.is_empty() {
+            let to_boundary = self.decay.boundary - self.events % self.decay.boundary;
+            let take = to_boundary.min((rest.len() / stride) as u64);
+            let (piece, tail) = rest.split_at(take as usize * stride);
+            self.array.observe_chunk(&mut self.assigner, piece, stride, &mut self.rng);
+            self.events += take;
+            if take == to_boundary {
+                self.roll_epoch();
+            }
+            rest = tail;
+        }
         self.ids_buf = ids;
-        self.events += chunk.len() as u64;
     }
 
     /// Feed `m` events from a stream, in internal chunks of
@@ -181,13 +229,44 @@ impl<P: CounterProtocol> BnTracker<P> {
         }
     }
 
+    /// Close the open epoch. Settlement: the epoch enters the books as
+    /// its exact total (what the sites' `Cumulative` settlement sums to —
+    /// with the sim's synchronous delivery, exactly `exact_total`); the
+    /// byte cost of the exchange is accounted by
+    /// [`CounterArray::roll_epoch`].
+    fn roll_epoch(&mut self) {
+        let totals: Vec<f64> =
+            (0..self.layout.n_counters()).map(|c| self.array.exact_total(c) as f64).collect();
+        for (settled, total) in self.settled.iter_mut().zip(&totals) {
+            *settled += total;
+        }
+        if self.closed.len() == self.decay.ring {
+            self.closed.remove(0);
+        }
+        self.closed.push(totals);
+        self.array.roll_epoch(self.epochs as u32);
+        self.epochs += 1;
+    }
+
+    /// The read of counter `id` given its open-epoch value `open` — the
+    /// live estimate for the tracked model, the exact count for the oracle.
+    fn read_with(&self, open: f64, id: usize) -> f64 {
+        epoch_read(self.decay.lambda, open, &self.settled, &self.closed, id)
+    }
+
+    /// Exact global count of counter `id` over the whole stream (test
+    /// oracle; a real coordinator cannot observe the open epoch's part).
+    fn exact_total(&self, id: usize) -> u64 {
+        self.settled[id] as u64 + self.array.exact_total(id)
+    }
+
     /// The pure read-only evaluator over this tracker's live counter
     /// estimates — all query methods below are thin delegations to it.
     pub fn evaluator(&self) -> CptEvaluator<'_, Self> {
         CptEvaluator::new(&self.structure, &self.layout, self, self.smoothing)
     }
 
-    /// Freeze the current counter estimates (and the exact oracle) into an
+    /// Freeze the current counter reads (and the exact oracle) into an
     /// immutable query-ready [`CptSnapshot`] — the simulator-side analogue
     /// of a coordinator settlement mint. Queries evaluated against the
     /// snapshot are bit-identical to live queries at the freeze point.
@@ -196,10 +275,10 @@ impl<P: CounterProtocol> BnTracker<P> {
         CptSnapshot {
             seq: 0,
             events: self.events,
-            epochs: 0,
+            epochs: self.epochs,
             finalized: true,
-            reads: (0..n).map(|c| self.array.estimate(c)).collect(),
-            exact: Some((0..n).map(|c| self.array.exact_total(c)).collect()),
+            reads: (0..n).map(|c| self.read(c)).collect(),
+            exact: Some((0..n).map(|c| self.exact_total(c)).collect()),
         }
     }
 
@@ -219,6 +298,15 @@ impl<P: CounterProtocol> BnTracker<P> {
         self.evaluator().query(x)
     }
 
+    /// `log P^[x]` of the exact (epoch-decayed) MLE over the same stream,
+    /// with identical smoothing and the identical read rule — the
+    /// reference of Definition 2. Closed epochs are settled exactly, so
+    /// the gap to this oracle is the open epoch's Lemma-4 estimation error.
+    pub fn exact_log_query(&self, x: &[usize]) -> f64 {
+        let oracle = |id: usize| self.read_with(self.array.exact_total(id) as f64, id);
+        CptEvaluator::new(&self.structure, &self.layout, &oracle, self.smoothing).log_query(x)
+    }
+
     /// Classify `target` given full evidence in `x` (the entry at `target` is ignored),
     /// using the tracked parameters (§V).
     pub fn classify(&self, target: usize, x: &mut [usize]) -> usize {
@@ -232,18 +320,18 @@ impl<P: CounterProtocol> BnTracker<P> {
 
     /// Exact global count of a family counter (test oracle).
     pub fn exact_family_count(&self, i: usize, value: usize, u: usize) -> u64 {
-        self.array.exact_total(self.layout.family_id(i, value, u) as usize)
+        self.exact_total(self.layout.family_id(i, value, u) as usize)
     }
 
     /// Exact global count of a parent counter (test oracle).
     pub fn exact_parent_count(&self, i: usize, u: usize) -> u64 {
-        self.array.exact_total(self.layout.parent_id(i, u) as usize)
+        self.exact_total(self.layout.parent_id(i, u) as usize)
     }
 }
 
 impl<P: CounterProtocol> CounterReads for BnTracker<P> {
     fn read(&self, id: usize) -> f64 {
-        self.array.estimate(id)
+        self.read_with(self.array.estimate(id), id)
     }
 }
 

@@ -1,17 +1,17 @@
-//! The stride-table id mapping ([`MappingMode::Strided`], the default) must
-//! be indistinguishable from the original Horner walk it replaced
-//! ([`MappingMode::Reference`]): same counter ids in the same order means
-//! bit-identical estimates, exact totals, and paper-convention message
-//! accounting, in the simulator and on the live cluster — on the tiny
-//! fixture, ALARM, and a 500-variable big-network preset. Also pins the
-//! big-network presets themselves: seeded generation is golden-stable
-//! (same seed, same DAG, same counter space), fan-in stays bounded, and
-//! `map_chunk` stays equivalent to per-event `map_event` at 500 variables.
+//! The stride-table id mapping must be indistinguishable from the plain
+//! Horner walk over the parent lists. The independent walk is the one
+//! `dsbn_bayes` already has (`BayesianNetwork::parent_config_of`): every id
+//! `map_event` / `map_event_u32` / `map_chunk` produce equals
+//! `family_id(i, x[i], u)` / `parent_id(i, u)` for the walked `u`, and the
+//! counts the simulator and the live cluster book under those ids equal a
+//! tally over the walked ids — on the tiny fixture, ALARM, and a
+//! 500-variable big-network preset. Also pins the big-network presets
+//! themselves: seeded generation is golden-stable (same seed, same DAG,
+//! same counter space), fan-in stays bounded, and `map_chunk` stays
+//! equivalent to per-event `map_event` at 500 variables.
 
 use dsbn::bayes::{sprinkler_network, BayesianNetwork, NetworkSpec};
-use dsbn::core::{
-    build_tracker, run_cluster_tracker, CounterLayout, MappingMode, Scheme, TrackerConfig,
-};
+use dsbn::core::{build_tracker, run_cluster_tracker, CounterLayout, Scheme, TrackerConfig};
 use dsbn::datagen::{EventChunk, TrainingStream};
 
 fn net_by_name(name: &str) -> BayesianNetwork {
@@ -25,106 +25,127 @@ fn net_by_name(name: &str) -> BayesianNetwork {
     }
 }
 
-/// Sim: identical stream + seed under the two mapping modes — every CPD
-/// estimate bit-identical, every exact count equal, stats equal.
-fn assert_sim_mappings_agree(scheme: Scheme, net_name: &str, m: usize) {
+/// The `2n` ids of event `x` by the independent walk, in Algorithm-2 order.
+fn walked_ids(net: &BayesianNetwork, layout: &CounterLayout, x: &[usize]) -> Vec<u32> {
+    (0..net.n_vars())
+        .flat_map(|i| {
+            let u = net.parent_config_of(i, x);
+            [layout.family_id(i, x[i], u), layout.parent_id(i, u)]
+        })
+        .collect()
+}
+
+/// The first `m` events of stream seed `seed`: every mapping entry point
+/// must agree with the walk id for id, and the returned per-counter tally
+/// of the walked ids is what any exact ledger over the stream must hold.
+fn walk_and_tally(net: &BayesianNetwork, seed: u64, m: usize) -> Vec<u64> {
+    let layout = CounterLayout::new(net);
+    let mut tally = vec![0u64; layout.n_counters()];
+    let mut chunk = EventChunk::with_capacity(net.n_vars(), 64);
+    let (mut walked, mut ids) = (Vec::new(), Vec::new());
+    for x in TrainingStream::new(net, seed).take(m) {
+        let expect = walked_ids(net, &layout, &x);
+        for &id in &expect {
+            tally[id as usize] += 1;
+        }
+        layout.map_event(&x, &mut ids);
+        assert_eq!(ids, expect, "{}: map_event", net.name());
+        let x32: Vec<u32> = x.iter().map(|&v| v as u32).collect();
+        layout.map_event_u32(&x32, &mut ids);
+        assert_eq!(ids, expect, "{}: map_event_u32", net.name());
+        chunk.push(&x);
+        walked.extend(expect);
+        if chunk.len() == 64 {
+            layout.map_chunk(&chunk, &mut ids);
+            assert_eq!(ids, walked, "{}: map_chunk", net.name());
+            chunk.clear();
+            walked.clear();
+        }
+    }
+    layout.map_chunk(&chunk, &mut ids);
+    assert_eq!(ids, walked, "{}: map_chunk (tail)", net.name());
+    tally
+}
+
+/// Sim: the tracker's exact ledger after `m` events is the walked tally.
+fn assert_sim_books_walked_ids(scheme: Scheme, net_name: &str, m: usize) {
     let net = net_by_name(net_name);
+    let tally = walk_and_tally(&net, 3, m);
     let tc = TrackerConfig::new(scheme).with_k(5).with_seed(23).with_eps(0.1);
-
-    let mut strided = build_tracker(&net, &tc.clone().with_mapping(MappingMode::Strided));
-    strided.train(TrainingStream::new(&net, 3), m as u64);
-
-    let mut reference = build_tracker(&net, &tc.with_mapping(MappingMode::Reference));
-    reference.train(TrainingStream::new(&net, 3), m as u64);
-
-    assert_eq!(strided.events(), reference.events());
+    let mut tracker = build_tracker(&net, &tc);
+    tracker.train(TrainingStream::new(&net, 3), m as u64);
     let layout = CounterLayout::new(&net);
     for i in 0..layout.n_vars() {
         for u in 0..layout.parent_configs(i) {
             assert_eq!(
-                strided.exact_parent_count(i, u),
-                reference.exact_parent_count(i, u),
+                tracker.exact_parent_count(i, u),
+                tally[layout.parent_id(i, u) as usize],
                 "{net_name}/{}: parent total ({i},{u})",
                 scheme.name()
             );
             for v in 0..layout.cardinality(i) {
                 assert_eq!(
-                    strided.exact_family_count(i, v, u),
-                    reference.exact_family_count(i, v, u),
+                    tracker.exact_family_count(i, v, u),
+                    tally[layout.family_id(i, v, u) as usize],
                     "{net_name}/{}: family total ({i},{v},{u})",
-                    scheme.name()
-                );
-                let (sn, sd) = strided.counter_pair(i, v, u);
-                let (rn, rd) = reference.counter_pair(i, v, u);
-                assert_eq!(
-                    sn.to_bits(),
-                    rn.to_bits(),
-                    "{net_name}/{}: family estimate ({i},{v},{u})",
-                    scheme.name()
-                );
-                assert_eq!(
-                    sd.to_bits(),
-                    rd.to_bits(),
-                    "{net_name}/{}: parent estimate ({i},{u})",
                     scheme.name()
                 );
             }
         }
     }
-    assert_eq!(strided.stats(), reference.stats(), "{net_name}/{}: stats", scheme.name());
 }
 
 #[test]
 fn sim_strided_is_bit_identical_sprinkler_all_schemes() {
     for scheme in Scheme::ALL {
-        assert_sim_mappings_agree(scheme, "sprinkler", 20_000);
+        assert_sim_books_walked_ids(scheme, "sprinkler", 20_000);
     }
 }
 
 #[test]
 fn sim_strided_is_bit_identical_alarm() {
     for scheme in [Scheme::ExactMle, Scheme::NonUniform] {
-        assert_sim_mappings_agree(scheme, "alarm", 5_000);
+        assert_sim_books_walked_ids(scheme, "alarm", 5_000);
     }
 }
 
 #[test]
 fn sim_strided_is_bit_identical_big500() {
     for scheme in [Scheme::ExactMle, Scheme::NonUniform] {
-        assert_sim_mappings_agree(scheme, "big500", 1_500);
+        assert_sim_books_walked_ids(scheme, "big500", 1_500);
     }
 }
 
-/// Cluster, exact scheme: threading never perturbs exact counters, so the
-/// two mappings must match bit for bit — estimates, totals, and the full
-/// message/byte accounting.
-fn assert_cluster_mappings_agree_exactly(net_name: &str, m: usize) {
+/// Cluster: the site threads map each delivered chunk themselves, so one
+/// live run's exact ledger must be the walked tally too — whatever the
+/// scheme, since the multiset of increments each counter receives is fixed
+/// by the stream. With exact counters the coordinator's estimates are the
+/// same numbers.
+fn assert_cluster_books_walked_ids(scheme: Scheme, net_name: &str, m: usize) {
     let net = net_by_name(net_name);
-    let tc = TrackerConfig::new(Scheme::ExactMle).with_k(4).with_seed(11).with_chunk(64);
-    let run = |mode: MappingMode| {
-        let events = TrainingStream::new(&net, 7).take(m);
-        run_cluster_tracker(&net, &tc.clone().with_mapping(mode), events)
-            .expect("cluster run failed")
-    };
-    let strided = run(MappingMode::Strided);
-    let reference = run(MappingMode::Reference);
-    assert_eq!(strided.report.events, reference.report.events, "{net_name}: events");
-    assert_eq!(strided.report.stats, reference.report.stats, "{net_name}: wire accounting");
-    let layout = CounterLayout::new(&net);
-    for id in 0..layout.n_counters() {
-        assert_eq!(
-            strided.model.exact_total(id),
-            reference.model.exact_total(id),
-            "{net_name}: exact total, counter {id}"
-        );
+    let tally = walk_and_tally(&net, 7, m);
+    let tc = TrackerConfig::new(scheme).with_k(4).with_seed(11).with_eps(0.2).with_chunk(64);
+    let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 7).take(m))
+        .expect("cluster run failed");
+    assert_eq!(run.report.events, m as u64, "{net_name}: events");
+    let layout = run.model.layout();
+    for (id, &count) in tally.iter().enumerate() {
+        assert_eq!(run.model.exact_total(id), count, "{net_name}: exact total, counter {id}");
     }
-    for i in 0..layout.n_vars() {
-        for u in 0..layout.parent_configs(i) {
-            for v in 0..layout.cardinality(i) {
-                let (sn, sd) = strided.model.counter_pair(i, v, u);
-                let (rn, rd) = reference.model.counter_pair(i, v, u);
-                assert_eq!(sn.to_bits(), rn.to_bits(), "{net_name}: family ({i},{v},{u})");
-                assert_eq!(sd.to_bits(), rd.to_bits(), "{net_name}: parent ({i},{u})");
+    if scheme == Scheme::ExactMle {
+        for i in 0..layout.n_vars() {
+            for u in 0..layout.parent_configs(i) {
+                for v in 0..layout.cardinality(i) {
+                    let walked = (
+                        tally[layout.family_id(i, v, u) as usize] as f64,
+                        tally[layout.parent_id(i, u) as usize] as f64,
+                    );
+                    assert_eq!(
+                        run.model.counter_pair(i, v, u),
+                        walked,
+                        "{net_name}: ({i},{v},{u})"
+                    );
+                }
             }
         }
     }
@@ -132,44 +153,22 @@ fn assert_cluster_mappings_agree_exactly(net_name: &str, m: usize) {
 
 #[test]
 fn cluster_exact_strided_is_bit_identical_sprinkler() {
-    assert_cluster_mappings_agree_exactly("sprinkler", 4_000);
+    assert_cluster_books_walked_ids(Scheme::ExactMle, "sprinkler", 4_000);
 }
 
 #[test]
 fn cluster_exact_strided_is_bit_identical_alarm() {
-    assert_cluster_mappings_agree_exactly("alarm", 2_000);
+    assert_cluster_books_walked_ids(Scheme::ExactMle, "alarm", 2_000);
 }
 
 #[test]
 fn cluster_exact_strided_is_bit_identical_big500() {
-    assert_cluster_mappings_agree_exactly("big500", 1_000);
+    assert_cluster_books_walked_ids(Scheme::ExactMle, "big500", 1_000);
 }
 
-/// Cluster, approximate scheme: HYZ traffic depends on thread interleaving,
-/// so per-message accounting is not comparable across runs — but the
-/// *multiset of increments* each counter receives is fixed by the stream,
-/// so the exact ledger totals must still agree between mapping modes.
 #[test]
 fn cluster_nonuniform_exact_ledgers_agree_big500() {
-    let net = net_by_name("big500");
-    let tc =
-        TrackerConfig::new(Scheme::NonUniform).with_k(4).with_seed(11).with_eps(0.2).with_chunk(64);
-    let run = |mode: MappingMode| {
-        let events = TrainingStream::new(&net, 7).take(1_000);
-        run_cluster_tracker(&net, &tc.clone().with_mapping(mode), events)
-            .expect("cluster run failed")
-    };
-    let strided = run(MappingMode::Strided);
-    let reference = run(MappingMode::Reference);
-    assert_eq!(strided.report.events, reference.report.events);
-    let layout = CounterLayout::new(&net);
-    for id in 0..layout.n_counters() {
-        assert_eq!(
-            strided.model.exact_total(id),
-            reference.model.exact_total(id),
-            "exact total, counter {id}"
-        );
-    }
+    assert_cluster_books_walked_ids(Scheme::NonUniform, "big500", 1_000);
 }
 
 /// FNV-1a over the DAG's parent lists + domain cardinalities — a cheap
@@ -231,7 +230,7 @@ fn big_presets_keep_fan_in_bounded() {
     }
 }
 
-/// `map_chunk` ≡ per-event `map_event` at 500 variables, both modes.
+/// `map_chunk` ≡ per-event `map_event` at 500 variables.
 #[test]
 fn map_chunk_matches_map_event_big500() {
     let net = net_by_name("big500");
@@ -239,17 +238,14 @@ fn map_chunk_matches_map_event_big500() {
     for x in TrainingStream::new(&net, 5).take(64) {
         chunk.push(&x);
     }
-    for mode in [MappingMode::Strided, MappingMode::Reference] {
-        let mut layout = CounterLayout::new(&net);
-        layout.set_mapping(mode);
-        let mut bulk = Vec::new();
-        layout.map_chunk(&chunk, &mut bulk);
-        let mut per_event = Vec::new();
-        let mut ids = Vec::new();
-        for ev in chunk.iter() {
-            layout.map_event_u32(ev, &mut ids);
-            per_event.extend_from_slice(&ids);
-        }
-        assert_eq!(bulk, per_event, "mode {mode:?}");
+    let layout = CounterLayout::new(&net);
+    let mut bulk = Vec::new();
+    layout.map_chunk(&chunk, &mut bulk);
+    let mut per_event = Vec::new();
+    let mut ids = Vec::new();
+    for ev in chunk.iter() {
+        layout.map_event_u32(ev, &mut ids);
+        per_event.extend_from_slice(&ids);
     }
+    assert_eq!(bulk, per_event);
 }

@@ -1,58 +1,147 @@
 //! The epoch-ring decay suite: degenerate-case regressions pinning the
-//! decayed trackers to their undecayed counterparts, and drift-scenario
-//! band tests pinning the distributed decayed models to the centralized
-//! exact epoch-decayed MLE over the same stream.
+//! rolling tracker to the never-rolling one (and the never-rolling one to
+//! the values it produced before the two were one type), the `lambda = 1`
+//! read rule, and drift-scenario band tests pinning the distributed
+//! decayed models to the centralized exact epoch-decayed MLE over the same
+//! stream.
 
-use dsbn::bayes::{sprinkler_network, NetworkSpec};
+use dsbn::bayes::{sprinkler_network, BayesianNetwork, NetworkSpec};
 use dsbn::core::{
-    build_decayed_tracker, build_tracker, run_decayed_cluster_tracker, DecayConfig, DecayedMle,
-    EpochDecayConfig, Scheme, Smoothing, TrackerConfig,
+    build_tracker, run_cluster_tracker, AnyTracker, DecayConfig, DecayedMle, EpochDecayConfig,
+    Scheme, Smoothing, SnapshotHub, SnapshotServer, TrackerConfig,
 };
 use dsbn::datagen::{DriftWorkload, TrainingStream};
 use dsbn_bayes::classify::CpdSource;
 
-/// Satellite: decay disabled (`lambda = 1`, `K = 1`, no boundary) must be
-/// *bit-for-bit* the plain tracker — same RNG consumption, same routing,
-/// same estimates, same bytes — for every scheme, across networks and
-/// seeds.
+/// FNV-1a fold of everything a trained tracker exposes: message/byte
+/// accounting, every counter estimate, and 20 seeded log-queries, bit for
+/// bit. Moves if the RNG draw order, the routing, or a read moves.
+fn tracker_digest(net: &BayesianNetwork, t: &AnyTracker, seed: u64) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100000001b3);
+    };
+    let s = t.stats();
+    for v in [s.up_messages, s.down_messages, s.broadcasts, s.bytes] {
+        mix(v);
+    }
+    for i in 0..net.n_vars() {
+        for u in 0..net.parent_configs(i) {
+            for v in 0..net.cardinality(i) {
+                let (num, den) = t.counter_pair(i, v, u);
+                mix(num.to_bits());
+                mix(den.to_bits());
+            }
+        }
+    }
+    for x in TrainingStream::new(net, seed ^ 0xfeed).take(20) {
+        mix(t.log_query(&x).to_bits());
+    }
+    h
+}
+
+/// [`tracker_digest`] of `build_tracker` at the last commit where the
+/// never-rolling and the epoch-rolling tracker were two types (PR 11), per
+/// (network, seed, scheme): the never-rolling tracker must still produce
+/// exactly these.
+const PLAIN_TRACKER_DIGESTS: [(&str, u64, Scheme, u64); 8] = [
+    ("sprinkler", 1, Scheme::ExactMle, 0xd26de2f4be1a6a4d),
+    ("sprinkler", 1, Scheme::NonUniform, 0x7ba88d20a79a38ae),
+    ("sprinkler", 9, Scheme::ExactMle, 0x3613bea8148dfa6e),
+    ("sprinkler", 9, Scheme::NonUniform, 0xe213c76cc230d634),
+    ("alarm", 1, Scheme::ExactMle, 0x586ce737559a6a4f),
+    ("alarm", 1, Scheme::NonUniform, 0x5af09fff240b3cdf),
+    ("alarm", 9, Scheme::ExactMle, 0x97e6835b70c520a4),
+    ("alarm", 9, Scheme::NonUniform, 0xd17b157e35955374),
+];
+
+/// Satellite: decay disabled (`lambda = 1`, no boundary) is the paper's
+/// tracker — no epoch ever closes, and stats, estimates and queries are
+/// the pre-unification `build_tracker`'s to the bit. A `lambda = 1`
+/// *rolling* tracker over the same stream forgets nothing: its exact
+/// totals are the never-rolling tracker's, and with exact counters so are
+/// its cumulative reads.
 #[test]
 fn disabled_decay_matches_bn_tracker_bit_for_bit() {
-    for (net, m) in
-        [(sprinkler_network(), 6_000usize), (NetworkSpec::alarm().generate(1).unwrap(), 2_000)]
-    {
-        for seed in [1u64, 9] {
-            for scheme in [Scheme::ExactMle, Scheme::NonUniform] {
-                let tc = TrackerConfig::new(scheme).with_k(4).with_eps(0.1).with_seed(seed);
-                let mut plain = build_tracker(&net, &tc);
-                let mut decayed = build_decayed_tracker(&net, &tc, &EpochDecayConfig::disabled());
-                plain.train(TrainingStream::new(&net, seed), m as u64);
-                decayed.train(TrainingStream::new(&net, seed), m as u64);
-                assert_eq!(plain.events(), decayed.events());
-                assert_eq!(decayed.epochs(), 0);
-                // Identical message/byte accounting (no rolls ever happen).
-                assert_eq!(plain.stats(), decayed.stats(), "{} seed {seed}", scheme.name());
-                // Identical conditional probabilities, to the bit.
-                for i in 0..net.n_vars() {
-                    for u in 0..net.parent_configs(i) {
-                        for v in 0..net.cardinality(i) {
-                            assert_eq!(
-                                plain.cond_prob(i, v, u).to_bits(),
-                                decayed.cond_prob(i, v, u).to_bits(),
-                                "{} seed {seed}: cpd ({i},{v},{u})",
-                                scheme.name()
-                            );
-                        }
+    for (name, seed, scheme, golden) in PLAIN_TRACKER_DIGESTS {
+        let (net, m) = match name {
+            "sprinkler" => (sprinkler_network(), 6_000u64),
+            _ => (NetworkSpec::alarm().generate(1).unwrap(), 2_000),
+        };
+        let tag = format!("{name}/{} seed {seed}", scheme.name());
+        let tc = TrackerConfig::new(scheme).with_k(4).with_eps(0.1).with_seed(seed);
+        assert_eq!(tc.decay, EpochDecayConfig::disabled());
+        let mut plain = build_tracker(&net, &tc);
+        plain.train(TrainingStream::new(&net, seed), m);
+        assert_eq!(plain.epochs(), 0, "{tag}");
+        assert_eq!(tracker_digest(&net, &plain, seed), golden, "{tag}: drifted from the parent");
+
+        let rolling_tc = tc.with_decay(EpochDecayConfig::new(1.0, m / 5, 2));
+        let mut rolling = build_tracker(&net, &rolling_tc);
+        rolling.train(TrainingStream::new(&net, seed), m);
+        assert_eq!(rolling.epochs(), 5, "{tag}");
+        for i in 0..net.n_vars() {
+            for u in 0..net.parent_configs(i) {
+                for v in 0..net.cardinality(i) {
+                    let total = plain.exact_family_count(i, v, u);
+                    assert_eq!(rolling.exact_family_count(i, v, u), total, "{tag}: ({i},{v},{u})");
+                    if scheme == Scheme::ExactMle {
+                        let parent = plain.exact_parent_count(i, u);
+                        assert_eq!(
+                            rolling.counter_pair(i, v, u),
+                            (total as f64, parent as f64),
+                            "{tag}: cumulative read ({i},{v},{u})"
+                        );
                     }
                 }
-                // Identical queries, to the bit.
-                for x in TrainingStream::new(&net, seed ^ 0xfeed).take(20) {
-                    assert_eq!(
-                        plain.log_query(&x).to_bits(),
-                        decayed.log_query(&x).to_bits(),
-                        "{} seed {seed}",
-                        scheme.name()
-                    );
-                }
+            }
+        }
+    }
+}
+
+/// Regression: `lambda = 1` with a finite boundary and a ring shorter than
+/// the run. No decay means no forgetting, whatever the ring dropped: the
+/// sim tracker, the cluster model and the server all read exactly the
+/// full-stream totals. (Before the trackers were unified the first two
+/// summed the K-deep ring — a silent sliding window — while the server
+/// read `settled + open`.)
+#[test]
+fn lambda_one_reads_are_cumulative_past_the_ring() {
+    let net = sprinkler_network();
+    let m = 650usize;
+    let hub = SnapshotHub::new();
+    let tc = TrackerConfig::new(Scheme::ExactMle).with_k(3).with_seed(5);
+    let mut oracle = build_tracker(&net, &tc);
+    oracle.train(TrainingStream::new(&net, 11), m as u64);
+
+    let tc = tc.with_decay(EpochDecayConfig::new(1.0, 100, 2)).with_publish(hub.clone());
+    let mut sim = build_tracker(&net, &tc);
+    sim.train(TrainingStream::new(&net, 11), m as u64);
+    assert_eq!(sim.epochs(), 6);
+    let server = SnapshotServer::with_decay(&net, tc.smoothing, hub, tc.decay.lambda);
+    let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 11).take(m))
+        .expect("cluster run failed");
+    assert_eq!(run.report.epochs, 6);
+    assert_eq!(run.report.dropped_epochs, 4, "the ring must have overflowed");
+    let snap = server.snapshot();
+    assert!(snap.finalized);
+
+    let layout = run.model.layout();
+    for i in 0..net.n_vars() {
+        for u in 0..net.parent_configs(i) {
+            for v in 0..net.cardinality(i) {
+                let full = (
+                    oracle.exact_family_count(i, v, u) as f64,
+                    oracle.exact_parent_count(i, u) as f64,
+                );
+                assert_eq!(sim.counter_pair(i, v, u), full, "sim tracker ({i},{v},{u})");
+                assert_eq!(run.model.counter_pair(i, v, u), full, "cluster model ({i},{v},{u})");
+                let served = (
+                    snap.reads[layout.family_id(i, v, u) as usize],
+                    snap.reads[layout.parent_id(i, u) as usize],
+                );
+                assert_eq!(served, full, "server ({i},{v},{u})");
             }
         }
     }
@@ -108,12 +197,16 @@ fn sim_decayed_tracker_stays_in_band_of_exact_decayed_mle_under_drift() {
     let decay = EpochDecayConfig::new(0.7, 4_000, 8);
     for seed in [1u64, 2, 3] {
         for scheme in [Scheme::Baseline, Scheme::Uniform, Scheme::NonUniform] {
-            let tc = TrackerConfig::new(scheme).with_k(5).with_eps(eps).with_seed(seed);
-            let mut t = build_decayed_tracker(&base, &tc, &decay);
+            let tc = TrackerConfig::new(scheme)
+                .with_k(5)
+                .with_eps(eps)
+                .with_seed(seed)
+                .with_decay(decay);
+            let mut t = build_tracker(&base, &tc);
             t.train(workload.stream(seed), m);
             assert_eq!(t.epochs(), m / decay.boundary);
             for q in TrainingStream::new(&base, seed ^ 0xabcd).take(40) {
-                let gap = (t.log_query(&q) - t.exact_decayed_log_query(&q)).abs();
+                let gap = (t.log_query(&q) - t.exact_log_query(&q)).abs();
                 assert!(
                     gap < 3.0 * eps,
                     "{} seed {seed}: decayed query band violated: {gap}",
@@ -141,8 +234,9 @@ fn epoch_decay_tracks_per_event_decayed_mle() {
         .with_k(5)
         .with_eps(eps)
         .with_seed(1)
-        .with_smoothing(smoothing);
-    let mut dist = build_decayed_tracker(&base, &tc, &decay);
+        .with_smoothing(smoothing)
+        .with_decay(decay);
+    let mut dist = build_tracker(&base, &tc);
     let mut central =
         DecayedMle::new(&base, DecayConfig { lambda: decay.per_event_lambda(), smoothing });
     for x in workload.stream(1).take(m as usize) {
@@ -171,9 +265,13 @@ fn cluster_decayed_tracker_band_and_sublinear_bytes_under_drift() {
     let workload = DriftWorkload::parameter_drift(&base, 2, 15_000, 0.8, 0.01, 9).unwrap();
     let m = workload.scripted_events() as usize;
     let decay = EpochDecayConfig::new(0.7, 5_000, 6);
-    let tc = TrackerConfig::new(Scheme::NonUniform).with_k(5).with_eps(eps).with_seed(4);
-    let run = run_decayed_cluster_tracker(&base, &tc, &decay, workload.stream(4).take(m))
-        .expect("cluster run failed");
+    let tc = TrackerConfig::new(Scheme::NonUniform)
+        .with_k(5)
+        .with_eps(eps)
+        .with_seed(4)
+        .with_decay(decay);
+    let run =
+        run_cluster_tracker(&base, &tc, workload.stream(4).take(m)).expect("cluster run failed");
     assert_eq!(run.report.events, m as u64);
     assert_eq!(run.report.epochs, m as u64 / decay.boundary);
     // Slack: the decayed read sums K+1 frozen estimates per counter (vs 1
@@ -181,7 +279,7 @@ fn cluster_decayed_tracker_band_and_sublinear_bytes_under_drift() {
     // asynchronous delivery freezes epochs mid-round; 6 eps keeps the same
     // order as the 3-eps band the one-estimate suites pin.
     for q in TrainingStream::new(&base, 31).take(40) {
-        let gap = (run.model.log_query(&q) - run.model.exact_decayed_log_query(&q)).abs();
+        let gap = (run.model.log_query(&q) - run.model.exact_log_query(&q)).abs();
         assert!(gap < 6.0 * eps, "cluster decayed query band violated: {gap}");
     }
     // Sublinear communication vs forwarding every event (the cost of
@@ -196,10 +294,14 @@ fn cluster_decayed_tracker_band_and_sublinear_bytes_under_drift() {
     // retries, catch-up reports) varies ±30% with thread interleaving,
     // so its message bound keeps a 2x margin.
     let decay_b = EpochDecayConfig::new(0.7, 15_000, 6);
-    let tc_b = TrackerConfig::new(Scheme::Baseline).with_k(5).with_eps(0.2).with_seed(4);
-    let tc_fwd = TrackerConfig::new(Scheme::ExactMle).with_k(5).with_seed(4);
-    let mut sim_hyz = build_decayed_tracker(&base, &tc_b, &decay_b);
-    let mut sim_fwd = build_decayed_tracker(&base, &tc_fwd, &decay_b);
+    let tc_b = TrackerConfig::new(Scheme::Baseline)
+        .with_k(5)
+        .with_eps(0.2)
+        .with_seed(4)
+        .with_decay(decay_b);
+    let tc_fwd = TrackerConfig::new(Scheme::ExactMle).with_k(5).with_seed(4).with_decay(decay_b);
+    let mut sim_hyz = build_tracker(&base, &tc_b);
+    let mut sim_fwd = build_tracker(&base, &tc_fwd);
     sim_hyz.train(workload.stream(4), m as u64);
     sim_fwd.train(workload.stream(4), m as u64);
     assert_eq!(sim_fwd.stats().total(), 2 * 4 * m as u64); // Lemma 5
@@ -215,8 +317,8 @@ fn cluster_decayed_tracker_band_and_sublinear_bytes_under_drift() {
         sim_hyz.stats().bytes,
         sim_fwd.stats().bytes
     );
-    let hyz = run_decayed_cluster_tracker(&base, &tc_b, &decay_b, workload.stream(4).take(m))
-        .expect("cluster run failed");
+    let hyz =
+        run_cluster_tracker(&base, &tc_b, workload.stream(4).take(m)).expect("cluster run failed");
     assert!(
         hyz.report.stats.total() * 2 < 2 * 4 * m as u64,
         "cluster decayed BASELINE messages {} not sublinear vs forwarding {}",

@@ -12,8 +12,7 @@
 
 use dsbn::bayes::{sprinkler_network, BayesianNetwork, NetworkSpec};
 use dsbn::core::{
-    build_tracker, run_cluster_tracker, run_decayed_cluster_tracker, ClusterTrackerRun,
-    EpochDecayConfig, Scheme, TrackerConfig,
+    build_tracker, run_cluster_tracker, ClusterTrackerRun, EpochDecayConfig, Scheme, TrackerConfig,
 };
 use dsbn::datagen::TrainingStream;
 use dsbn::monitor::{Partitioner, SiteFault};
@@ -174,15 +173,10 @@ fn decayed_cluster_tracker_survives_churn() {
     let tc = TrackerConfig::new(Scheme::NonUniform)
         .with_k(4)
         .with_seed(31)
+        .with_decay(EpochDecayConfig::new(0.5, m / 4, 8))
         .with_faults(vec![SiteFault { site: 1, kill_at: m / 3, revive_at: Some(2 * m / 3) }]);
-    let decay = EpochDecayConfig::new(0.5, m / 4, 8);
-    let run = run_decayed_cluster_tracker(
-        &net,
-        &tc,
-        &decay,
-        TrainingStream::new(&net, 31).take(m as usize),
-    )
-    .expect("decayed cluster run failed");
+    let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 31).take(m as usize))
+        .expect("decayed cluster run failed");
     assert_eq!(run.report.events, m);
     assert_eq!(run.report.churn.kills, 1);
     assert_eq!(run.report.churn.revives, 1);

@@ -10,8 +10,8 @@
 
 use dsbn::bayes::{sprinkler_network, BayesianNetwork, NetworkSpec};
 use dsbn::core::{
-    build_tracker, run_cluster_tracker, run_decayed_cluster_tracker, AnyTracker, CounterLayout,
-    CptEvaluator, EpochDecayConfig, Scheme, SnapshotHub, SnapshotServer, TrackerConfig,
+    build_tracker, run_cluster_tracker, AnyTracker, CounterLayout, CptEvaluator, EpochDecayConfig,
+    Scheme, SnapshotHub, SnapshotServer, TrackerConfig,
 };
 use dsbn::datagen::TrainingStream;
 use dsbn::monitor::CounterSnapshot;
@@ -314,10 +314,9 @@ fn randomized_mid_stream_snapshots_stay_in_the_eps_band() {
     }
 }
 
-/// The decayed tracker's settlements serve the same way: a server resolving
-/// with the run's `lambda` answers byte-identically to the returned
-/// `DecayedClusterModel` (the resolve loop is the `EpochRing::decayed`
-/// arithmetic, term for term).
+/// A decayed run's settlements serve the same way: a server resolving
+/// with the run's `lambda` answers byte-identically to the returned model
+/// (both read by the one epoch read rule).
 #[test]
 fn decayed_final_snapshot_matches_the_decayed_model_bitwise() {
     let net = sprinkler_network();
@@ -331,15 +330,11 @@ fn decayed_final_snapshot_matches_the_decayed_model_bitwise() {
                 .with_seed(7)
                 .with_chunk(32)
                 .with_coord_workers(workers)
+                .with_decay(decay)
                 .with_publish(hub.clone());
             let server = SnapshotServer::with_decay(&net, tc.smoothing, hub.clone(), decay.lambda);
-            let run = run_decayed_cluster_tracker(
-                &net,
-                &tc,
-                &decay,
-                TrainingStream::new(&net, 29).take(8_000),
-            )
-            .expect("decayed cluster run failed");
+            let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 29).take(8_000))
+                .expect("decayed cluster run failed");
             let tag = format!("decayed {}/workers {workers}", scheme.name());
             assert!(run.report.epochs > 0, "{tag}");
             assert_eq!(hub.seq(), run.report.epochs + 1, "{tag}");
@@ -356,28 +351,35 @@ fn decayed_final_snapshot_matches_the_decayed_model_bitwise() {
 
 /// The simulator freezes the same way: `BnTracker::snapshot()` is a
 /// sequence-zero, finalized `CptSnapshot` whose evaluator answers
-/// byte-identically to the live tracker, for every scheme's protocol.
+/// byte-identically to the live tracker, for every scheme's protocol —
+/// never rolling, and rolling with `lambda < 1`.
 #[test]
 fn sim_tracker_snapshot_is_bitwise_frozen_for_every_scheme() {
     let net = sprinkler_network();
-    for scheme in Scheme::ALL {
-        let mut t = build_tracker(&net, &TrackerConfig::new(scheme).with_k(4).with_seed(2));
-        t.train(TrainingStream::new(&net, 21), 10_000);
-        let (snap, layout, smoothing) = match &t {
-            AnyTracker::Exact(t) => (t.snapshot(), t.layout(), t.smoothing()),
-            AnyTracker::Randomized(t) => (t.snapshot(), t.layout(), t.smoothing()),
-            AnyTracker::Deterministic(t) => (t.snapshot(), t.layout(), t.smoothing()),
-        };
-        assert_eq!(snap.events, 10_000, "{}", scheme.name());
-        assert!(snap.finalized && snap.exact.is_some(), "{}", scheme.name());
-        let eval = CptEvaluator::new(&net, layout, &snap, smoothing);
-        for x in TrainingStream::new(&net, 22).take(50) {
-            assert_eq!(
-                eval.log_query(&x).to_bits(),
-                t.log_query(&x).to_bits(),
-                "{}: frozen simulator answers drifted",
-                scheme.name()
-            );
+    for decay in [EpochDecayConfig::disabled(), EpochDecayConfig::new(0.8, 1_500, 4)] {
+        for scheme in Scheme::ALL {
+            let tc = TrackerConfig::new(scheme).with_k(4).with_seed(2).with_decay(decay);
+            let mut t = build_tracker(&net, &tc);
+            t.train(TrainingStream::new(&net, 21), 10_000);
+            let (snap, layout, smoothing) = match &t {
+                AnyTracker::Exact(t) => (t.snapshot(), t.layout(), t.smoothing()),
+                AnyTracker::Randomized(t) => (t.snapshot(), t.layout(), t.smoothing()),
+                AnyTracker::Deterministic(t) => (t.snapshot(), t.layout(), t.smoothing()),
+            };
+            let tag = format!("{} / {decay:?}", scheme.name());
+            assert_eq!(snap.events, 10_000, "{tag}");
+            assert_eq!(snap.epochs, if decay.rolls() { 6 } else { 0 }, "{tag}");
+            assert!(snap.finalized, "{tag}");
+            let exact = snap.exact.as_ref().expect("a frozen tracker carries its oracle");
+            assert_eq!(exact[layout.parent_id(0, 0) as usize], 10_000, "{tag}: whole stream");
+            let eval = CptEvaluator::new(&net, layout, &snap, smoothing);
+            for x in TrainingStream::new(&net, 22).take(50) {
+                assert_eq!(
+                    eval.log_query(&x).to_bits(),
+                    t.log_query(&x).to_bits(),
+                    "{tag}: frozen simulator answers drifted"
+                );
+            }
         }
     }
 }
