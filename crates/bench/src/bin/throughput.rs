@@ -12,12 +12,14 @@
 //! Flags: `--nets sprinkler,alarm` `--schemes exact,baseline,uniform,non-uniform`
 //! `--m <sim events>` `--cluster-m <cluster events>` `--k` `--eps` `--seed`
 //! `--runs <medians over N>` `--chunk 1,16,256` (cluster ingest chunk-size
-//! sweep) `--coord-workers 1,2,4` (coordinator decode-worker sweep; `1` is
-//! the single-thread coordinator) `--churn <faults>` (inject a seeded
-//! crash/rejoin schedule of up to that many site faults into every cluster
-//! run — throughput under churn, DESIGN.md §8; `0`, the default, runs
-//! fault-free) `--out <results/<out>.json>` `--quick` `--check` (exit
-//! non-zero unless every events/s is finite and positive).
+//! sweep) `--coord-workers 1,2,4` (coordinator shard-worker sweep; `1` keeps
+//! all counter state on the coordinator thread) `--churn <faults>` (inject
+//! a seeded crash/rejoin schedule of up to that many site faults into
+//! every cluster run — throughput under churn, DESIGN.md §8; `0`, the
+//! default, runs fault-free) `--out <results/<out>.json>` `--quick` `--check` (exit
+//! non-zero unless every events/s is finite and positive and, fault-free,
+//! the EXACTMLE rows of one (network, chunk) agree in messages and bytes
+//! across `--coord-workers`).
 //!
 //! Throughput figures reported per (network, scheme):
 //!
@@ -52,10 +54,10 @@ struct Record {
     /// Cluster ingest chunk size; `None` for the simulator (whose internal
     /// chunking is bit-identical at any size and not a knob here).
     chunk: Option<u64>,
-    /// Coordinator decode workers (`1` = single-thread coordinator); `None`
-    /// for the simulator. Recorded even when sharding cannot speed anything
-    /// up (e.g. a 1-CPU container), so the sweep documents the machine it
-    /// ran on.
+    /// Coordinator shard workers (`1` = all counter state on the
+    /// coordinator thread); `None` for the simulator. Recorded even when
+    /// sharding cannot speed anything up (e.g. a 1-CPU container), so the
+    /// sweep documents the machine it ran on.
     coord_workers: Option<u64>,
     events: u64,
     secs: f64,
@@ -354,6 +356,33 @@ fn main() {
             eprintln!("error: non-finite or zero events/s for: {}", bad.join(", "));
             std::process::exit(1);
         }
+        // EXACTMLE never broadcasts, so a fault-free run's traffic is a
+        // function of the stream alone: the rows of one (network, chunk)
+        // must agree across coordinator worker counts, or the worker path
+        // miscounts. (Under --churn revives land asynchronously and the
+        // tallies legitimately vary.)
+        let exact = || {
+            records.iter().filter(|r| r.scheme == Scheme::ExactMle.name() && r.runtime == "cluster")
+        };
+        let drifted: Vec<String> = exact()
+            .filter(|r| {
+                exact().any(|o| {
+                    (&o.network, o.chunk) == (&r.network, r.chunk)
+                        && (o.messages, o.bytes) != (r.messages, r.bytes)
+                })
+            })
+            .map(|r| format!("{}/chunk {:?}/workers {:?}", r.network, r.chunk, r.coord_workers))
+            .collect();
+        if churn == 0 && !drifted.is_empty() {
+            eprintln!(
+                "error: exact messages/bytes differ across coord_workers: {}",
+                drifted.join(", ")
+            );
+            std::process::exit(1);
+        }
         eprintln!("check ok: all {} throughput figures finite and positive", records.len());
+        if churn == 0 {
+            eprintln!("check ok: exact messages/bytes equal across coord_workers");
+        }
     }
 }

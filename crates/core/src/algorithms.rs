@@ -34,11 +34,11 @@ pub struct TrackerConfig {
     /// by the synchronous simulator, whose internal training chunks are
     /// bit-identical at any size. `1` is the per-event pipeline.
     pub chunk: usize,
-    /// Coordinator decode workers for the cluster runtime
-    /// (`dsbn_monitor::CoordMode`): `1` — the default — is the
-    /// single-thread coordinator; `> 1` shards coordinator counter state
-    /// by contiguous layout-aligned ranges. Ignored by the synchronous
-    /// simulator; either setting produces bit-identical results.
+    /// Coordinator shard workers for the cluster runtime
+    /// (`dsbn_monitor::ClusterConfig::coord_workers`): `1` — the default —
+    /// applies every update on the coordinator thread; `> 1` spreads its
+    /// counter state over that many workers by layout-aligned ranges.
+    /// Ignored by the simulator; any setting is bit-identical.
     pub coord_workers: usize,
     /// Snapshot publish hub for the cluster runtime: when set, the
     /// coordinator publishes epoch-consistent counter snapshots here at
@@ -124,8 +124,8 @@ impl TrackerConfig {
         self
     }
 
-    /// Set the cluster coordinator's decode-worker count (`1` keeps the
-    /// single-thread coordinator).
+    /// Set the cluster coordinator's shard-worker count (`1` keeps all
+    /// counter state on the coordinator thread).
     pub fn with_coord_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one coordinator worker");
         self.coord_workers = workers;

@@ -147,12 +147,12 @@ pub struct ClusterTrackerRun {
 /// the `2n` counter increments of Algorithm 2 executed on-site. A
 /// `faults` schedule injects seeded site crash/rejoin churn; the returned
 /// report's `churn` section accounts for every kill, revive, and lost
-/// event. With
-/// `config.coord_workers > 1` the coordinator shards its counter state by
-/// layout-aligned contiguous ranges ([`CounterLayout::shard_starts`]) —
-/// bit-identical results, parallel decode/apply. A rolling `decay`
-/// settles an epoch every `boundary` events; each settlement is also a
-/// mid-stream snapshot mint when `publish` is set.
+/// event. With `config.coord_workers > 1` the coordinator spreads its
+/// counter state over that many workers by layout-aligned contiguous
+/// ranges ([`CounterLayout::shard_starts`]) — the same code on the same
+/// update sequence, so bit-identical results. A rolling `decay` settles
+/// an epoch every `boundary` events; each settlement is also a mid-stream
+/// snapshot mint when `publish` is set.
 ///
 /// Fails with a typed [`ClusterError`] (never a panic or a hung join) when
 /// a packet fails to decode or the transport errors.

@@ -23,18 +23,16 @@
 //! arguments of DESIGN.md §3/§5 intact. `chunk = 1` — the default — is the
 //! per-event pipeline as a degenerate case.
 //!
-//! The coordinator itself comes in two shapes ([`CoordMode`]):
-//!
-//! - [`CoordMode::SingleThread`] — one thread decodes every packet and
-//!   applies every update (the baseline; unchanged hot path).
-//! - [`CoordMode::Sharded`] — K shard workers each own a contiguous
-//!   counter range ([`crate::shard::ShardPlan`]) and apply the updates in
-//!   their range, while one control thread keeps the transport order:
-//!   accounting, broadcast fan-out, flush quiescence, and epoch settlement
-//!   all stay on the control thread, so the per-shard FIFO attribution
-//!   argument of DESIGN.md §6 holds and sharded runs are bit-identical to
-//!   single-thread runs on estimates, exact totals, logical message
-//!   counts, and bytes.
+//! There is one coordinator (DESIGN.md §6.2): a control thread that keeps
+//! everything order-sensitive — accounting, broadcast fan-out, flush
+//! quiescence, epoch settlement — plus the per-counter open-epoch state,
+//! held in counter-range banks. With [`ClusterConfig::coord_workers`]
+//! `<= 1` one whole-range bank is applied on the control thread itself;
+//! with K > 1, K shard workers each own a contiguous range
+//! ([`crate::shard::ShardPlan`]) and apply the updates in it, fed in
+//! transport order through FIFO queues. The bank code and the per-counter
+//! update sequence are the same either way, so the two are bit-identical
+//! on estimates, exact totals, logical message counts, and bytes.
 //!
 //! [`MessageStats::bytes`] measures frame bytes that actually crossed a
 //! link; `MessageStats::packets` counts the physical bundled sends (so
@@ -68,7 +66,7 @@ use crate::transport::{
     ChannelTransport, ClusterError, DownPacket, DownSender, Fabric, Transport, UpPacket, UpSender,
 };
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use dsbn_counters::epoch::EpochRoller;
 use dsbn_counters::msg::{DownMsg, UpMsg};
 use dsbn_counters::protocol::CounterProtocol;
@@ -79,30 +77,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
-
-/// How the coordinator applies decoded updates (DESIGN.md §6).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoordMode {
-    /// One coordinator thread decodes every packet and applies every
-    /// update — the baseline, and the default.
-    SingleThread,
-    /// `workers` shard threads each own a contiguous counter range and
-    /// apply the updates falling in it, while the control thread retains
-    /// rounds, Flush/FlushAck quiescence, and EpochRoll settlement
-    /// ordering. Bit-identical to [`CoordMode::SingleThread`] on
-    /// estimates, exact totals, logical message counts, and bytes.
-    Sharded {
-        /// Number of shard workers (>= 1; `Sharded { workers: 1, .. }` is
-        /// the degenerate one-shard pipeline, useful for pinning).
-        workers: usize,
-        /// Explicit shard range starts, e.g. aligned to a
-        /// `CounterLayout`'s per-variable blocks (`starts[w]` is the first
-        /// counter id worker `w` owns; must start at 0, be monotone, and
-        /// have one entry per worker). `None` — the default — splits the
-        /// id space evenly.
-        shard_starts: Option<Vec<u32>>,
-    },
-}
 
 /// One injected site fault (fail-stop model, DESIGN.md §8): the stream
 /// driver kills `site` once it has streamed `kill_at` events and — when
@@ -224,9 +198,17 @@ pub struct ClusterConfig {
     /// Closed epochs retained at the coordinator (ring capacity `K`).
     /// Ignored unless `epoch_boundary` is set.
     pub epoch_ring: usize,
-    /// Coordinator shape: single-thread (default) or sharded across
-    /// decode workers.
-    pub coord: CoordMode,
+    /// Coordinator shard workers (DESIGN.md §6.2). `<= 1` — the default —
+    /// applies every update on the coordinator thread itself; `K > 1`
+    /// spreads the counter state over K worker threads, each owning a
+    /// contiguous counter range, with bit-identical estimates, exact
+    /// totals, logical message counts, and bytes.
+    pub coord_workers: usize,
+    /// Explicit shard range starts, e.g. aligned to a `CounterLayout`'s
+    /// per-variable blocks (`starts[w]` is the first counter id worker `w`
+    /// owns; must start at 0, be monotone, and have one entry per worker).
+    /// `None` — the default — splits the id space evenly.
+    pub shard_starts: Option<Vec<u32>>,
     /// Snapshot publish hub (DESIGN.md §7). When set, the coordinator
     /// mints a [`CounterSnapshot`] at every epoch settlement (so enable
     /// epoch rolling to get mid-stream snapshots) and the driver publishes
@@ -241,7 +223,7 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Paper defaults: uniform random routing, per-event chunks, no epoch
-    /// rolling, single-thread coordinator.
+    /// rolling, no coordinator shard workers.
     pub fn new(k: usize, seed: u64) -> Self {
         ClusterConfig {
             k,
@@ -252,7 +234,8 @@ impl ClusterConfig {
             flush_bytes: 64 * 1024,
             epoch_boundary: None,
             epoch_ring: 8,
-            coord: CoordMode::SingleThread,
+            coord_workers: 1,
+            shard_starts: None,
             publish: None,
             faults: Vec::new(),
         }
@@ -276,30 +259,22 @@ impl ClusterConfig {
         self
     }
 
-    /// Shard coordinator state across `workers` decode workers with an
-    /// even counter split. `workers <= 1` keeps the single-thread
-    /// coordinator (the modes are equivalent; single-thread skips the
-    /// worker hop).
-    pub fn with_coord_workers(mut self, workers: usize) -> Self {
-        self.coord = if workers <= 1 {
-            CoordMode::SingleThread
-        } else {
-            CoordMode::Sharded { workers, shard_starts: None }
-        };
-        self
+    /// Shard coordinator state across `workers` workers with an even
+    /// counter split; `workers <= 1` keeps it on the coordinator thread.
+    pub fn with_coord_workers(self, workers: usize) -> Self {
+        self.with_sharded_coordinator(workers.max(1), None)
     }
 
-    /// Shard the coordinator explicitly — always runs the sharded
-    /// pipeline, even for `workers == 1` (pinning the degenerate shard
-    /// path against the single-thread baseline), with optional explicit
-    /// range starts (e.g. `CounterLayout::shard_starts`).
+    /// [`Self::with_coord_workers`] with optional explicit range starts
+    /// (e.g. `CounterLayout::shard_starts`).
     pub fn with_sharded_coordinator(
         mut self,
         workers: usize,
         shard_starts: Option<Vec<u32>>,
     ) -> Self {
         assert!(workers >= 1, "need at least one coordinator worker");
-        self.coord = CoordMode::Sharded { workers, shard_starts };
+        self.coord_workers = workers;
+        self.shard_starts = shard_starts;
         self
     }
 
@@ -711,16 +686,6 @@ where
             // The transport substrate failed on our down link: forward the
             // fault up so the coordinator aborts, and stop.
             DownPacket::Fault(error) => self.fault(error),
-            // A transport-delivered kill order. Driver-injected faults
-            // arrive in-band on the event link instead (`SiteFeed::Kill`,
-            // for exact kill points); this arm keeps the wire variant
-            // meaningful for transports that deliver one directly.
-            DownPacket::Kill => {
-                if !self.dead {
-                    self.dying = true;
-                }
-                true
-            }
             DownPacket::Revive(catchup) => self.revive(catchup),
         }
     }
@@ -800,11 +765,11 @@ enum SiteStatus {
     Dead,
 }
 
-/// Control-thread core shared by both coordinator shapes: the epoch-roll
-/// machinery (DESIGN.md §5), the closed-epoch settlement ring, the down
-/// links, and all accounting. Everything that must observe packets in
-/// transport arrival order lives here; only per-counter protocol state
-/// (decode + `handle_up`) is delegated to the shape-specific owner.
+/// Control-thread core: the epoch-roll machinery (DESIGN.md §5), the
+/// closed-epoch settlement ring, the down links, and all accounting.
+/// Everything that must observe packets in transport arrival order lives
+/// here; only per-counter protocol state (decode + `handle_up`) is
+/// delegated to the [`Bank`]s.
 struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     protocols: &'a [P],
     k: usize,
@@ -995,11 +960,11 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     }
 
     /// Mint and publish a [`CounterSnapshot`] from the open-epoch
-    /// estimates `open` (the caller exports them from whichever shape owns
-    /// the coordinator state) plus the core's settled accumulators. Called
-    /// only at epoch settlements — the one mid-stream moment the state is
-    /// Definition-2-consistent (DESIGN.md §7). No-op without a hub.
-    fn publish_snapshot(&mut self, open: &[f64]) {
+    /// estimates `open` (exported from the banks) plus the core's settled
+    /// accumulators. Called only at epoch settlements — the one mid-stream
+    /// moment the state is Definition-2-consistent (DESIGN.md §7). No-op
+    /// without a hub.
+    fn publish_snapshot(&mut self, open: Vec<f64>) {
         let Some(hub) = &self.hub else { return };
         self.snap_seq += 1;
         let epochs = self.roller.epochs_closed() as u64;
@@ -1008,16 +973,11 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             events: epochs * self.boundary,
             epochs,
             finalized: false,
-            open: open.to_vec(),
+            open,
             settled: self.settled_cum.clone(),
             closed: self.closed_estimates.iter().cloned().collect(),
             exact: None,
         });
-    }
-
-    /// Whether settlements should mint snapshots (a hub is attached).
-    fn minting(&self) -> bool {
-        self.hub.is_some()
     }
 
     /// Send an encoded down payload to every site, accounting its bytes
@@ -1058,14 +1018,6 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         for tx in &mut self.down_txs {
             let _ = tx.send(DownPacket::Flush(epoch));
         }
-    }
-
-    /// The driver crossed an epoch boundary. Returns the epoch to start
-    /// closing now (the caller resets open-epoch protocol state and
-    /// broadcasts the roll), or `None` when one is already in flight (the
-    /// request queues inside the roller).
-    fn request_roll(&mut self) -> Option<u32> {
-        self.roller.request()
     }
 
     /// All sites acked: the epoch is settled — freeze the summed
@@ -1166,8 +1118,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     fn finish(
         self,
         estimates: Vec<f64>,
-        first_packet: Option<Instant>,
-        last_packet: Instant,
+        busy: Option<(Instant, Instant)>,
         flush_epochs: u64,
     ) -> CoordOut {
         CoordOut {
@@ -1176,10 +1127,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             settled_totals: self.settled_cum,
             stats: self.stats,
             estimates,
-            busy: match first_packet {
-                Some(f) => last_packet.duration_since(f),
-                None => Duration::ZERO,
-            },
+            busy: busy.map_or(Duration::ZERO, |(first, last)| last.duration_since(first)),
             flush_epochs,
             kills: self.kills,
             revives: self.revives,
@@ -1189,7 +1137,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     }
 }
 
-/// What a coordinator (either shape) hands back to the driver.
+/// What the coordinator hands back to the driver.
 struct CoordOut {
     stats: MessageStats,
     estimates: Vec<f64>,
@@ -1204,98 +1152,81 @@ struct CoordOut {
     partial_bytes_discarded: u64,
 }
 
-/// Single-thread coordinator: the control core plus all per-counter
-/// open-epoch protocol state, decoded and applied inline.
-struct InlineCoord<'a, P: CounterProtocol, D: DownSender> {
-    core: CtlCore<'a, P, D>,
-    /// Open-epoch coordinator state, one per counter.
+/// The open-epoch `P::Coord` state of the contiguous counter range `range`
+/// — the one place update packets are validated and applied. A [`Coord`]
+/// either calls one whole-range bank directly on the control thread or
+/// feeds K of them, one per shard worker, through FIFO queues: the same
+/// code sees the same per-counter update sequence either way, which is why
+/// the two are bit-identical by construction (DESIGN.md §6.2).
+struct Bank<'a, P: CounterProtocol> {
+    protocols: &'a [P],
+    k: usize,
+    range: Range<usize>,
+    /// `coords[i]` is counter `range.start + i`.
     coords: Vec<P::Coord>,
-    /// Reused open-estimate slab for snapshot minting (one bounded
-    /// `snapshot_into` sweep per mint, no per-mint allocation here).
-    snap_buf: Vec<f64>,
+    /// Paper-accounting share: updates in `range` seen so far (counted
+    /// even when stale-dropped).
+    up_messages: u64,
+    /// Crashed-site roster, re-forgotten at every roll (fresh state
+    /// assumes all k sites contribute).
+    dead: Vec<bool>,
 }
 
-impl<'a, P: CounterProtocol, D: DownSender> InlineCoord<'a, P, D> {
-    fn new(
-        protocols: &'a [P],
-        k: usize,
-        ring_cap: usize,
-        down_txs: Vec<D>,
-        hub: Option<SnapshotHub>,
-        boundary: u64,
-    ) -> Self {
-        InlineCoord {
-            core: CtlCore::new(protocols, k, ring_cap, down_txs, hub, boundary),
-            coords: protocols.iter().map(|p| p.new_coord(k)).collect(),
-            snap_buf: vec![0.0; protocols.len()],
-        }
-    }
-
-    /// Apply one decoded counter update from `site`. Updates from a site
-    /// that has not yet acked the in-flight roll were sent before it
-    /// rolled (FIFO links make this attribution exact) and belong to the
-    /// *closing* epoch: they are counted but dropped, because the site's
-    /// settlement — its exact per-epoch counts, carried by the ack that
-    /// follows them — supersedes anything they could contribute. A closing
-    /// epoch cannot keep running its protocol: a sync is a global barrier,
-    /// and sites already in the new epoch would answer a cross-epoch sync
-    /// as stale, wedging it forever.
-    fn apply_update(&mut self, site: usize, cid: u32, up: UpMsg) -> Result<(), ClusterError> {
-        let c = cid as usize;
-        if c >= self.core.protocols.len() {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!(
-                    "counter {cid} out of range ({} counters)",
-                    self.core.protocols.len()
-                ),
-            });
-        }
-        self.core.stats.up_messages += 1;
-        if self.core.roller.is_stale(site) {
-            return Ok(());
-        }
-        if let Some(down) = self.core.protocols[c].handle_up(&mut self.coords[c], site, up) {
-            self.core.issue_broadcast(cid, down);
-        }
-        Ok(())
+impl<'a, P: CounterProtocol> Bank<'a, P> {
+    fn new(protocols: &'a [P], k: usize, range: Range<usize>) -> Self {
+        let coords = protocols[range.clone()].iter().map(|p| p.new_coord(k)).collect();
+        Bank { protocols, k, range, coords, up_messages: 0, dead: vec![false; k] }
     }
 
     /// One multi-event update packet from `site`, decoded in a single
-    /// allocation-free pass over the buffer.
-    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        if site >= self.core.k {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!("packet from unknown site {site} (k = {})", self.core.k),
-            });
-        }
-        self.core.stats.packets += 1;
-        self.core.stats.bytes += payload.len() as u64;
+    /// allocation-free pass; every broadcast an update triggers goes to
+    /// `emit`. A `stale` packet comes from a site that has not yet acked
+    /// the in-flight roll: it was sent before the site rolled (FIFO links
+    /// make this attribution exact) and belongs to the *closing* epoch.
+    /// Its updates are counted but dropped, because the site's settlement
+    /// — its exact per-epoch counts, carried by the ack that follows them —
+    /// supersedes anything they could contribute. A closing epoch cannot
+    /// keep running its protocol: a sync is a global barrier, and sites
+    /// already in the new epoch would answer a cross-epoch sync as stale,
+    /// wedging it forever.
+    fn apply(
+        &mut self,
+        site: usize,
+        payload: Bytes,
+        stale: bool,
+        mut emit: impl FnMut(u32, DownMsg),
+    ) -> Result<(), ClusterError> {
         let mut err: Option<ClusterError> = None;
         let res = visit_packet(payload, |item| {
             if err.is_some() {
                 return;
             }
-            match item {
+            let detail = match item {
                 WireItem::Up { counter, msg } => {
-                    if let Err(e) = self.apply_update(site, counter, msg) {
-                        err = Some(e);
+                    let c = counter as usize;
+                    if self.range.contains(&c) {
+                        self.up_messages += 1;
+                        if !stale {
+                            let coord = &mut self.coords[c - self.range.start];
+                            if let Some(down) = self.protocols[c].handle_up(coord, site, msg) {
+                                emit(counter, down);
+                            }
+                        }
+                        return;
                     }
+                    if c < self.protocols.len() {
+                        return; // another bank's counter
+                    }
+                    format!("counter {counter} out of range ({} counters)", self.protocols.len())
                 }
                 WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("down frame from site {site} on the up path"),
-                    });
+                    format!("down frame from site {site} on the up path")
                 }
                 WireItem::EpochAck { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("epoch ack from site {site} outside a control packet"),
-                    });
+                    format!("epoch ack from site {site} outside a control packet")
                 }
-            }
+            };
+            err = Some(ClusterError::Protocol { context: "up packet", detail });
         });
         if let Some(e) = err {
             return Err(e);
@@ -1303,59 +1234,347 @@ impl<'a, P: CounterProtocol, D: DownSender> InlineCoord<'a, P, D> {
         res.map_err(|source| ClusterError::Wire { context: "up packet", site: Some(site), source })
     }
 
-    /// Mint and publish a snapshot from the current open estimates (no-op
-    /// without a hub).
-    fn mint(&mut self) {
-        if !self.core.minting() {
-            return;
+    /// A new open epoch: swap in fresh state (the old is superseded by the
+    /// incoming settlements) and re-forget the dead roster. Fresh state has
+    /// no sync or report in flight, so the forget can never broadcast.
+    fn roll(&mut self) {
+        for (coord, p) in self.coords.iter_mut().zip(&self.protocols[self.range.clone()]) {
+            *coord = p.new_coord(self.k);
         }
-        dsbn_counters::protocol::snapshot_into(
-            self.core.protocols,
-            &self.coords,
-            &mut self.snap_buf,
-        );
-        self.core.publish_snapshot(&self.snap_buf);
-    }
-
-    /// Begin closing `epoch`: swap in fresh open-epoch coordinators (the
-    /// old states are superseded by the incoming settlements) and
-    /// broadcast `EpochRoll`.
-    fn start_roll(&mut self, epoch: u32) {
-        self.coords = self.core.protocols.iter().map(|p| p.new_coord(self.core.k)).collect();
-        self.core.reset_rounds();
-        // Fresh coordinator banks assume all k sites contribute: re-forget
-        // the dead roster. A fresh bank has no sync or report in flight,
-        // so the forget can never need to broadcast.
-        for site in 0..self.core.k {
-            if self.core.status[site] == SiteStatus::Dead {
-                for (c, p) in self.core.protocols.iter().enumerate() {
-                    let down = p.site_crashed(&mut self.coords[c], site);
-                    debug_assert!(down.is_none(), "crash-forget on fresh state broadcast");
-                }
+        for site in 0..self.k {
+            if self.dead[site] {
+                self.crashed(site, |_, _| debug_assert!(false, "crash-forget on fresh state"));
             }
         }
+    }
+
+    /// Forget a crashed site's contribution; a broadcast the forget
+    /// triggers (e.g. HYZ completing a sync the dead site was the last
+    /// holdout of) goes to `emit`.
+    fn crashed(&mut self, site: usize, mut emit: impl FnMut(u32, DownMsg)) {
+        self.dead[site] = true;
+        for (i, c) in self.range.clone().enumerate() {
+            if let Some(down) = self.protocols[c].site_crashed(&mut self.coords[i], site) {
+                emit(c as u32, down);
+            }
+        }
+    }
+
+    /// Re-admit a dead site. The hooks' returns are discarded: their
+    /// announcement is the current round, which the revive catch-up payload
+    /// already carries to the one site that needs it.
+    fn rejoined(&mut self, site: usize) {
+        self.dead[site] = false;
+        for (i, c) in self.range.clone().enumerate() {
+            let _ = self.protocols[c].rejoin_site(&mut self.coords[i], site);
+        }
+    }
+
+    fn estimates_into(&self, out: &mut [f64]) {
+        dsbn_counters::protocol::snapshot_into(
+            &self.protocols[self.range.clone()],
+            &self.coords,
+            out,
+        );
+    }
+}
+
+/// Capacity of each control-thread → shard-worker queue. Deliberately
+/// shallow: the control thread is a fast forwarder, and any depth here
+/// decouples the sites' round feedback (broadcast replies) from the stream
+/// — a deep queue lets sites run arbitrarily far ahead at a stale sampling
+/// probability, inflating the paper's message counts. A short bounded queue
+/// makes the control thread block on lagging workers, which backpressures
+/// the merged inbox and so the sites, restoring the one-thread coupling.
+/// (Workers never block on their reply channel, so this cannot deadlock.)
+const WORKER_QUEUE: usize = 16;
+
+/// Control thread → shard worker traffic: every [`Bank`] call, as a mark
+/// in the worker's FIFO queue at exactly the point in the packet sequence
+/// where the control thread would have made it. Every worker receives
+/// every update packet (decode is shared, application is sharded — the
+/// payload is an `Arc`'d [`Bytes`], so the fan-out clones are O(1)).
+#[derive(Clone)]
+enum WorkerMsg {
+    /// [`Bank::apply`]. `stale` is computed once per packet on the control
+    /// thread: the roller only moves on control packets, which are strictly
+    /// ordered against update packets in the merged inbox.
+    Updates { site: usize, payload: Bytes, stale: bool },
+    /// [`Bank::roll`].
+    Roll,
+    /// [`Bank::crashed`].
+    Crashed { site: usize },
+    /// [`Bank::rejoined`].
+    Rejoined { site: usize },
+    /// Quiescence handshake: reply [`WorkerReply::BarrierAck`].
+    Barrier,
+    /// [`Bank::estimates_into`]: reply [`WorkerReply::Estimates`].
+    Snapshot,
+}
+
+/// Shard worker → control thread replies (one shared unbounded channel, so
+/// workers never block and the control thread can always drain).
+#[derive(Debug)]
+enum WorkerReply {
+    /// The bank emitted a broadcast; the control thread issues it
+    /// (accounting + fan-out stay in transport order on one thread).
+    /// `rolls` is the number of `Roll` marks the bank had applied: a reply
+    /// with fewer than the control thread has sent belongs to a closing
+    /// epoch and must not follow that epoch's `EpochRoll` down the links.
+    Broadcast { counter: u32, msg: DownMsg, rolls: u32 },
+    /// All messages before the barrier have been applied.
+    BarrierAck,
+    /// This shard's open-epoch estimates and cumulative `up_messages` at a
+    /// `Snapshot` mark.
+    Estimates { worker: usize, estimates: Vec<f64>, up_messages: u64 },
+    /// This worker hit a decode/protocol error; the run must abort.
+    Fault(ClusterError),
+}
+
+/// One shard worker: applies its queue's marks to its bank, in order, until
+/// the control thread drops the queue.
+fn run_worker<P: CounterProtocol>(
+    mut bank: Bank<'_, P>,
+    worker: usize,
+    rx: Receiver<WorkerMsg>,
+    reply_tx: &Sender<WorkerReply>,
+) {
+    let mut rolls = 0u32;
+    // After a fault the worker keeps draining its queue and answering
+    // marks, so the control thread can never block on a full queue or an
+    // unanswered mark (it sees the `Fault` first on the per-producer-FIFO
+    // reply channel and aborts), but applies nothing further.
+    let mut poisoned = false;
+    while let Ok(msg) = rx.recv() {
+        let emit = move |counter, msg| {
+            let _ = reply_tx.send(WorkerReply::Broadcast { counter, msg, rolls });
+        };
+        match msg {
+            WorkerMsg::Barrier => {
+                let _ = reply_tx.send(WorkerReply::BarrierAck);
+            }
+            WorkerMsg::Snapshot => {
+                let mut estimates = vec![0.0; bank.range.len()];
+                bank.estimates_into(&mut estimates);
+                let up_messages = bank.up_messages;
+                let _ = reply_tx.send(WorkerReply::Estimates { worker, estimates, up_messages });
+            }
+            _ if poisoned => {}
+            WorkerMsg::Updates { site, payload, stale } => {
+                if let Err(e) = bank.apply(site, payload, stale, emit) {
+                    let _ = reply_tx.send(WorkerReply::Fault(e));
+                    poisoned = true;
+                }
+            }
+            WorkerMsg::Roll => {
+                bank.roll();
+                rolls += 1;
+            }
+            WorkerMsg::Crashed { site } => bank.crashed(site, emit),
+            WorkerMsg::Rejoined { site } => bank.rejoined(site),
+        }
+    }
+}
+
+/// The control thread's ends of the K shard-worker queues.
+struct WorkerLinks {
+    plan: ShardPlan,
+    txs: Vec<Sender<WorkerMsg>>,
+    reply_rx: Receiver<WorkerReply>,
+    /// `Roll` marks sent so far (see [`WorkerReply::Broadcast`]).
+    rolls: u32,
+}
+
+impl WorkerLinks {
+    fn send_all(&self, msg: WorkerMsg) {
+        for tx in &self.txs {
+            let _ = tx.send(msg.clone());
+        }
+    }
+
+    /// Every worker hung up its reply sender while the run was live.
+    fn gone<E>(_: E) -> ClusterError {
+        ClusterError::Transport("coordinator worker disconnected mid-run".into())
+    }
+
+    /// Handle a reply that answers no outstanding mark. A broadcast of the
+    /// open epoch is issued; one of a closing epoch is dropped like that
+    /// epoch's stale updates (the settlement supersedes it, and the `Roll`
+    /// mark queued behind it resets the state that emitted it) — issuing
+    /// it would land on the sites' fresh state and wedge the counter's
+    /// next sync.
+    fn on_reply<P: CounterProtocol, D: DownSender>(
+        &self,
+        core: &mut CtlCore<'_, P, D>,
+        reply: WorkerReply,
+    ) -> Result<(), ClusterError> {
+        match reply {
+            WorkerReply::Broadcast { counter, msg, rolls } => {
+                if rolls == self.rolls {
+                    core.issue_broadcast(counter, msg);
+                }
+                Ok(())
+            }
+            WorkerReply::Fault(e) => Err(e),
+            other => Err(ClusterError::Protocol {
+                context: "sharded coordinator",
+                detail: format!("unexpected worker reply {other:?}"),
+            }),
+        }
+    }
+
+    /// Put `mark` in every worker's queue and serve replies until every
+    /// worker has answered it (`answer` returns `None` for a reply it
+    /// consumed). Per-producer FIFO puts each worker's pending broadcasts
+    /// ahead of its answer, so when this returns everything forwarded
+    /// before the mark has been applied and its broadcasts issued. Workers
+    /// never block on the unbounded reply channel, so the wait cannot
+    /// deadlock.
+    fn ask_all<P: CounterProtocol, D: DownSender>(
+        &self,
+        core: &mut CtlCore<'_, P, D>,
+        mark: WorkerMsg,
+        mut answer: impl FnMut(WorkerReply) -> Option<WorkerReply>,
+    ) -> Result<(), ClusterError> {
+        self.send_all(mark);
+        let mut answered = 0usize;
+        while answered < self.txs.len() {
+            match answer(self.reply_rx.recv().map_err(Self::gone)?) {
+                None => answered += 1,
+                Some(other) => self.on_reply(core, other)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where the open-epoch counter state lives.
+enum Banks<'a, P: CounterProtocol> {
+    /// `coord_workers <= 1`: one whole-range bank, called directly on the
+    /// control thread; broadcasts are issued synchronously.
+    Local(Bank<'a, P>),
+    /// K banks on K shard workers, reached through their queues.
+    Workers(WorkerLinks),
+}
+
+/// The coordinator: the control core plus the counter state it drives.
+/// Packets are handled (or forwarded to every worker) in transport arrival
+/// order, and broadcasts are issued here, on the one thread that owns the
+/// down links.
+struct Coord<'a, P: CounterProtocol, D: DownSender> {
+    core: CtlCore<'a, P, D>,
+    banks: Banks<'a, P>,
+    /// Arrival of the first and the last update packet.
+    busy: Option<(Instant, Instant)>,
+}
+
+impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
+    fn new(core: CtlCore<'a, P, D>, links: Option<WorkerLinks>) -> Self {
+        let banks = match links {
+            Some(links) => Banks::Workers(links),
+            None => Banks::Local(Bank::new(core.protocols, core.k, 0..core.protocols.len())),
+        };
+        Coord { core, banks, busy: None }
+    }
+
+    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
+        let now = Instant::now();
+        self.busy = Some((self.busy.map_or(now, |(first, _)| first), now));
+        let Coord { core, banks, .. } = self;
+        if site >= core.k {
+            return Err(ClusterError::Protocol {
+                context: "up packet",
+                detail: format!("packet from unknown site {site} (k = {})", core.k),
+            });
+        }
+        core.stats.packets += 1;
+        core.stats.bytes += payload.len() as u64;
+        let stale = core.roller.is_stale(site);
+        match banks {
+            Banks::Local(bank) => {
+                bank.apply(site, payload, stale, |c, down| core.issue_broadcast(c, down))
+            }
+            Banks::Workers(links) => {
+                links.send_all(WorkerMsg::Updates { site, payload, stale });
+                Ok(())
+            }
+        }
+    }
+
+    /// The open-epoch estimate of every counter, in id order, and the
+    /// banks' `up_messages` total.
+    fn read_banks(&mut self) -> Result<(Vec<f64>, u64), ClusterError> {
+        let Coord { core, banks, .. } = self;
+        let mut open = vec![0.0; core.protocols.len()];
+        let mut ups = 0u64;
+        match banks {
+            Banks::Local(bank) => {
+                bank.estimates_into(&mut open);
+                ups = bank.up_messages;
+            }
+            Banks::Workers(links) => links.ask_all(core, WorkerMsg::Snapshot, |reply| {
+                let WorkerReply::Estimates { worker, estimates, up_messages } = reply else {
+                    return Some(reply);
+                };
+                open[links.plan.range(worker)].copy_from_slice(&estimates);
+                ups += up_messages;
+                None
+            })?,
+        }
+        Ok((open, ups))
+    }
+
+    /// Mint and publish a snapshot of the current state (no-op without a
+    /// hub). Callers mint at a settlement *before* any queued roll resets
+    /// the banks — the open estimates still belong to the epoch the
+    /// snapshot's readers will see as open — and before a crash is
+    /// forgotten (DESIGN.md §7.2, §8.2).
+    fn mint(&mut self) -> Result<(), ClusterError> {
+        if self.core.hub.is_some() {
+            let (open, _) = self.read_banks()?;
+            self.core.publish_snapshot(open);
+        }
+        Ok(())
+    }
+
+    /// Begin closing `epoch`: reset the banks at exactly this point in the
+    /// packet sequence, then broadcast `EpochRoll`.
+    fn start_roll(&mut self, epoch: u32) {
+        match &mut self.banks {
+            Banks::Local(bank) => bank.roll(),
+            Banks::Workers(links) => {
+                links.send_all(WorkerMsg::Roll);
+                links.rolls += 1;
+            }
+        }
+        self.core.reset_rounds();
         self.core.broadcast_roll(epoch);
     }
 
-    fn request_roll(&mut self) {
-        if let Some(epoch) = self.core.request_roll() {
+    /// The driver crossed an epoch boundary: start closing the epoch now,
+    /// unless a roll is already in flight (the request queues inside the
+    /// roller).
+    fn request_roll(&mut self) -> Result<(), ClusterError> {
+        if let Some(epoch) = self.core.roller.request() {
             self.start_roll(epoch);
-            self.settle_instant_rolls();
+            self.settle_instant_rolls()?;
         }
+        Ok(())
     }
 
     /// A roll whose every non-dead site has already acked — which happens
     /// the moment it starts when *all* sites are dead (the roller pre-fills
     /// the dead roster) — settles immediately, exactly as a final ack
     /// would have; chained for queued requests.
-    fn settle_instant_rolls(&mut self) {
+    fn settle_instant_rolls(&mut self) -> Result<(), ClusterError> {
         while self.core.roller.rolling() && self.core.roller.all_acked() {
-            self.mint();
+            self.mint()?;
             match self.core.close_epoch() {
                 Some(next) => self.start_roll(next),
                 None => break,
             }
         }
+        Ok(())
     }
 
     /// A site's terminal `Crashed` marker: complete any roll it was the
@@ -1365,18 +1584,17 @@ impl<'a, P: CounterProtocol, D: DownSender> InlineCoord<'a, P, D> {
     /// every open-epoch counter, then apply a revive that arrived while
     /// the kill was still in flight.
     fn handle_crashed(&mut self, site: usize, partial: Bytes) -> Result<(), ClusterError> {
-        let completed = self.core.record_crash(site, &partial)?;
-        if completed {
-            self.mint();
+        if self.core.record_crash(site, &partial)? {
+            self.mint()?;
             if let Some(next) = self.core.close_epoch() {
                 self.start_roll(next);
             }
-            self.settle_instant_rolls();
+            self.settle_instant_rolls()?;
         }
-        for (c, p) in self.core.protocols.iter().enumerate() {
-            if let Some(down) = p.site_crashed(&mut self.coords[c], site) {
-                self.core.issue_broadcast(c as u32, down);
-            }
+        let Coord { core, banks, .. } = self;
+        match banks {
+            Banks::Local(bank) => bank.crashed(site, |c, down| core.issue_broadcast(c, down)),
+            Banks::Workers(links) => links.send_all(WorkerMsg::Crashed { site }),
         }
         if self.core.pending_revive[site] {
             self.rejoin(site);
@@ -1384,536 +1602,93 @@ impl<'a, P: CounterProtocol, D: DownSender> InlineCoord<'a, P, D> {
         Ok(())
     }
 
-    /// Re-admit a dead site: give every counter protocol its rejoin hook
-    /// (returns are discarded — the hook's announcement is the current
-    /// round, which the revive catch-up payload below already carries, so
-    /// re-broadcasting it to the whole cluster would only be redundant
-    /// traffic), then send the revive order down the site's link.
+    /// Re-admit a dead site in the banks, then send the revive order (with
+    /// its mid-round catch-up) down the site's link.
     fn rejoin(&mut self, site: usize) {
-        for (c, p) in self.core.protocols.iter().enumerate() {
-            let _ = p.rejoin_site(&mut self.coords[c], site);
+        match &mut self.banks {
+            Banks::Local(bank) => bank.rejoined(site),
+            Banks::Workers(links) => links.send_all(WorkerMsg::Rejoined { site }),
         }
         self.core.send_revive(site);
     }
 
     fn handle_control(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
         let outcome = self.core.handle_control(site, payload)?;
-        // An epoch settled while processing this packet: mint a snapshot
-        // at the settlement, *before* any queued roll resets the open
-        // coordinators — the open estimates still belong to the epoch the
-        // snapshot's readers will see as open.
         if outcome.closed > 0 {
-            self.mint();
+            self.mint()?;
         }
         for epoch in outcome.rolls {
             self.start_roll(epoch);
         }
-        self.settle_instant_rolls();
-        Ok(())
-    }
-}
-
-/// Capacity of each control-thread → shard-worker queue. Deliberately
-/// shallow (see the spawn site): worker lag directly delays round
-/// feedback to the sites, so the queue bounds how far sites can run ahead
-/// of the protocol state, keeping sharded message counts in the
-/// single-thread band.
-const WORKER_QUEUE: usize = 16;
-
-/// Control thread → shard worker traffic. Every worker receives every
-/// update packet (decode is shared, application is sharded — the packet
-/// payload is an `Arc`'d [`Bytes`], so the fan-out clones are O(1)), plus
-/// the two ordering marks the control thread injects: `Roll` at exactly
-/// the point the open epoch's state must reset, and `Barrier` during the
-/// quiescence handshake.
-enum WorkerMsg {
-    Updates {
-        site: usize,
-        payload: Bytes,
-        /// Whether the control thread's roller attributed this packet to
-        /// the closing epoch at forwarding time (the roller only moves on
-        /// control packets, which are strictly ordered against update
-        /// packets in the merged inbox — so this equals what the
-        /// single-thread coordinator would have computed at apply time).
-        stale: bool,
-    },
-    Roll,
-    Barrier,
-    /// Snapshot mark (DESIGN.md §7): export the shard's open-epoch
-    /// estimates *at this point in the forwarded packet sequence* and
-    /// reply with [`WorkerReply::Estimates`]. The control thread injects
-    /// it at an epoch settlement, before the next `Roll`, so the slice
-    /// reflects exactly the packets a single-thread coordinator would
-    /// have applied when minting.
-    Snapshot,
-    /// Site crashed: forget its contribution in this shard's open-epoch
-    /// state at exactly this point in the forwarded packet sequence (the
-    /// control thread injects it when the `Crashed` marker lands, after
-    /// any roll/mint the marker completed — the same mint-before-forget
-    /// order as the inline coordinator).
-    Crashed {
-        site: usize,
-    },
-    /// Site rejoined after a crash (mirror of `Crashed`).
-    Rejoined {
-        site: usize,
-    },
-}
-
-/// Shard worker → control thread replies (one shared unbounded channel, so
-/// workers never block and the control thread can always drain).
-#[derive(Debug)]
-enum WorkerReply {
-    /// A `handle_up` produced a broadcast; the control thread issues it
-    /// (accounting + fan-out stay in transport order on one thread).
-    Broadcast { counter: u32, msg: DownMsg },
-    /// All messages before the barrier have been applied.
-    BarrierAck,
-    /// This shard's open-epoch estimates at a `Snapshot` mark — one
-    /// `CounterLayout`-aligned slice of the snapshot the control thread
-    /// is assembling.
-    Estimates { worker: usize, estimates: Vec<f64> },
-    /// This worker hit a decode/protocol error; the run must abort.
-    Fault(ClusterError),
-    /// Final shard estimates + accounting, sent when the msg channel
-    /// disconnects.
-    Final { worker: usize, up_messages: u64, estimates: Vec<f64> },
-}
-
-/// One shard worker: owns the open-epoch coordinator state for the
-/// contiguous counter range `range`, applies exactly the updates falling
-/// in it, and reports broadcasts/faults/estimates on the shared reply
-/// channel.
-struct ShardWorker<'a, P: CounterProtocol> {
-    protocols: &'a [P],
-    k: usize,
-    worker: usize,
-    range: Range<usize>,
-    /// Open-epoch coordinator state for `range` (index `i` holds counter
-    /// `range.start + i`).
-    coords: Vec<P::Coord>,
-    /// Paper-accounting share: updates this shard owns (counted even when
-    /// stale-dropped, mirroring the single-thread coordinator).
-    up_messages: u64,
-    /// Crashed-site roster: re-forgotten on every `Roll` (fresh banks
-    /// assume all k sites contribute), exactly as the inline coordinator's
-    /// `start_roll` re-applies its dead roster.
-    dead_sites: Vec<bool>,
-    reply_tx: Sender<WorkerReply>,
-    /// After a fault this worker keeps draining its queue (acking
-    /// barriers) so the control thread can never block on a full worker
-    /// channel, but applies nothing further.
-    poisoned: bool,
-}
-
-impl<P: CounterProtocol> ShardWorker<'_, P> {
-    fn fault(&mut self, error: ClusterError) {
-        let _ = self.reply_tx.send(WorkerReply::Fault(error));
-        self.poisoned = true;
+        self.settle_instant_rolls()
     }
 
-    /// Forget a crashed site in this shard's open-epoch state; any
-    /// broadcast the forget triggers (e.g. HYZ completing a sync the dead
-    /// site was the last holdout of) is issued by the control thread like
-    /// any other reply.
-    fn forget_site(&mut self, site: usize) {
-        for (i, c) in self.range.clone().enumerate() {
-            if let Some(down) = self.protocols[c].site_crashed(&mut self.coords[i], site) {
-                let _ = self.reply_tx.send(WorkerReply::Broadcast { counter: c as u32, msg: down });
-            }
-        }
-    }
-
-    fn handle_updates(&mut self, site: usize, payload: Bytes, stale: bool) {
-        let mut err: Option<ClusterError> = None;
-        let res = visit_packet(payload, |item| {
-            if err.is_some() {
-                return;
-            }
-            match item {
-                WireItem::Up { counter, msg } => {
-                    let c = counter as usize;
-                    if c >= self.protocols.len() {
-                        err = Some(ClusterError::Protocol {
-                            context: "up packet",
-                            detail: format!(
-                                "counter {counter} out of range ({} counters)",
-                                self.protocols.len()
-                            ),
-                        });
-                        return;
-                    }
-                    if !self.range.contains(&c) {
-                        return;
-                    }
-                    self.up_messages += 1;
-                    if stale {
-                        return;
-                    }
-                    let i = c - self.range.start;
-                    if let Some(down) = self.protocols[c].handle_up(&mut self.coords[i], site, msg)
-                    {
-                        let _ = self.reply_tx.send(WorkerReply::Broadcast { counter, msg: down });
-                    }
-                }
-                WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("down frame from site {site} on the up path"),
-                    });
-                }
-                WireItem::EpochAck { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("epoch ack from site {site} outside a control packet"),
-                    });
-                }
-            }
-        });
-        if let Some(e) = err {
-            self.fault(e);
-            return;
-        }
-        if let Err(source) = res {
-            self.fault(ClusterError::Wire { context: "up packet", site: Some(site), source });
-        }
-    }
-
-    fn run(mut self, rx: Receiver<WorkerMsg>) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                WorkerMsg::Updates { site, payload, stale } => {
-                    if !self.poisoned {
-                        self.handle_updates(site, payload, stale);
-                    }
-                }
-                WorkerMsg::Roll => {
-                    if !self.poisoned {
-                        for (i, c) in self.range.clone().enumerate() {
-                            self.coords[i] = self.protocols[c].new_coord(self.k);
-                        }
-                        // Fresh banks assume all k sites contribute:
-                        // re-forget the dead roster (never broadcasts on
-                        // fresh state — no sync can be in flight).
-                        for site in 0..self.k {
-                            if self.dead_sites[site] {
-                                self.forget_site(site);
-                            }
-                        }
-                    }
-                }
-                WorkerMsg::Crashed { site } => {
-                    if !self.poisoned {
-                        self.dead_sites[site] = true;
-                        self.forget_site(site);
-                    }
-                }
-                WorkerMsg::Rejoined { site } => {
-                    if !self.poisoned {
-                        self.dead_sites[site] = false;
-                        // Returns discarded, as in the inline coordinator:
-                        // the revive catch-up payload already announces the
-                        // current round to the rejoining site.
-                        for (i, c) in self.range.clone().enumerate() {
-                            let _ = self.protocols[c].rejoin_site(&mut self.coords[i], site);
-                        }
-                    }
-                }
-                WorkerMsg::Barrier => {
-                    let _ = self.reply_tx.send(WorkerReply::BarrierAck);
-                }
-                WorkerMsg::Snapshot => {
-                    // Reply even when poisoned (the control thread sees
-                    // our Fault first on the per-producer-FIFO reply
-                    // channel and aborts; an unanswered mark could
-                    // otherwise wedge the mint collection).
-                    let mut estimates = vec![0.0; self.range.len()];
-                    dsbn_counters::protocol::snapshot_into(
-                        &self.protocols[self.range.clone()],
-                        &self.coords,
-                        &mut estimates,
-                    );
-                    let _ = self
-                        .reply_tx
-                        .send(WorkerReply::Estimates { worker: self.worker, estimates });
-                }
-            }
-        }
-        // Msg channel disconnected: the run is over — report this shard's
-        // estimates and accounting share.
-        let mut estimates = vec![0.0; self.range.len()];
-        dsbn_counters::protocol::snapshot_into(
-            &self.protocols[self.range.clone()],
-            &self.coords,
-            &mut estimates,
-        );
-        let _ = self.reply_tx.send(WorkerReply::Final {
-            worker: self.worker,
-            up_messages: self.up_messages,
-            estimates,
-        });
-    }
-}
-
-/// Sharded coordinator control thread: the control core plus the worker
-/// fan-out. Packets are forwarded to every worker in transport arrival
-/// order; broadcasts come back as replies and are issued (accounted +
-/// fanned out) here, on the one thread that owns the down links.
-struct ShardedCoord<'a, P: CounterProtocol, D: DownSender> {
-    core: CtlCore<'a, P, D>,
-    worker_txs: Vec<Sender<WorkerMsg>>,
-}
-
-impl<'a, P: CounterProtocol, D: DownSender> ShardedCoord<'a, P, D> {
-    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        if site >= self.core.k {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!("packet from unknown site {site} (k = {})", self.core.k),
-            });
-        }
-        self.core.stats.packets += 1;
-        self.core.stats.bytes += payload.len() as u64;
-        // The roller can only move on control packets, which this thread
-        // serializes against update packets — so one staleness tag per
-        // packet is exactly the per-update value the single-thread
-        // coordinator computes.
-        let stale = self.core.roller.is_stale(site);
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Updates { site, payload: payload.clone(), stale });
-        }
-        Ok(())
-    }
-
-    /// Begin closing `epoch`: a `Roll` mark in every worker's (FIFO)
-    /// queue resets shard state at exactly this point in the packet
-    /// sequence, then the roll broadcast goes down.
-    fn start_roll(&mut self, epoch: u32) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Roll);
-        }
-        self.core.reset_rounds();
-        self.core.broadcast_roll(epoch);
-    }
-
-    fn request_roll(
+    /// The next packet of the merged inbox (`None` once every sender is
+    /// gone). With the bank local this is a plain blocking receive; with
+    /// workers, their replies are served first: pending broadcasts must be
+    /// issued before more packets are forwarded, or the sites' round
+    /// feedback (`NewRound` probability drops) lags the stream arbitrarily
+    /// and the paper's message counts inflate. (The select polls arms in
+    /// order, so arm order is a priority.)
+    fn next_packet(
         &mut self,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        if let Some(epoch) = self.core.request_roll() {
-            self.start_roll(epoch);
-            self.settle_instant_rolls(plan, reply_rx)?;
+        up_rx: &Receiver<UpPacket>,
+    ) -> Result<Option<UpPacket>, ClusterError> {
+        let Banks::Workers(links) = &self.banks else {
+            return Ok(up_rx.recv().ok());
+        };
+        loop {
+            crossbeam::channel::select! {
+                recv(links.reply_rx) -> reply => {
+                    links.on_reply(&mut self.core, reply.map_err(WorkerLinks::gone)?)?
+                },
+                recv(up_rx) -> pkt => return Ok(pkt.ok()),
+            }
         }
-        Ok(())
     }
 
-    /// Sharded twin of the inline coordinator's `settle_instant_rolls`:
-    /// with every site dead a freshly started roll is already fully acked.
-    fn settle_instant_rolls(
-        &mut self,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        while self.core.roller.rolling() && self.core.roller.all_acked() {
-            if self.core.minting() {
-                self.mint_snapshot(plan, reply_rx)?;
-            }
-            match self.core.close_epoch() {
-                Some(next) => self.start_roll(next),
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    /// Sharded twin of the inline coordinator's `handle_crashed`. The
-    /// `Crashed` forget mark goes down the worker queues *after* any
-    /// roll/mint the marker completed, preserving the mint-before-forget
-    /// order (the minted snapshot reflects pre-crash state, exactly as a
-    /// single-thread coordinator would observe it).
-    fn handle_crashed(
-        &mut self,
-        site: usize,
-        partial: Bytes,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        let completed = self.core.record_crash(site, &partial)?;
-        if completed {
-            if self.core.minting() {
-                self.mint_snapshot(plan, reply_rx)?;
-            }
-            if let Some(next) = self.core.close_epoch() {
-                self.start_roll(next);
-            }
-            self.settle_instant_rolls(plan, reply_rx)?;
-        }
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Crashed { site });
-        }
-        if self.core.pending_revive[site] {
-            self.rejoin(site);
-        }
-        Ok(())
-    }
-
-    /// Re-admit a dead site: the rejoin mark goes down every worker's
-    /// FIFO queue, then the revive order (with its mid-round catch-up)
-    /// goes down the site's link.
-    fn rejoin(&mut self, site: usize) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Rejoined { site });
-        }
-        self.core.send_revive(site);
-    }
-
-    fn handle_control(
-        &mut self,
-        site: usize,
-        payload: Bytes,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        let outcome = self.core.handle_control(site, payload)?;
-        // Mint at the settlement, before any queued roll resets shard
-        // state (mirrors the inline coordinator's ordering exactly).
-        if outcome.closed > 0 && self.core.minting() {
-            self.mint_snapshot(plan, reply_rx)?;
-        }
-        for epoch in outcome.rolls {
-            self.start_roll(epoch);
-        }
-        self.settle_instant_rolls(plan, reply_rx)
-    }
-
-    /// Assemble and publish a snapshot from the shard workers: a
-    /// `Snapshot` mark goes down every worker's FIFO queue (so each shard
-    /// exports its state at exactly this point in the forwarded packet
-    /// sequence), then the control thread collects the K
-    /// `CounterLayout`-aligned slices into one open-estimate slab —
-    /// issuing any interleaved broadcast replies while it waits, exactly
-    /// as the flush-barrier collection does — and publishes. Workers
-    /// never block on the unbounded reply channel, so the wait cannot
-    /// deadlock; it only stalls ingest for the bounded K-reply exchange.
-    fn mint_snapshot(
-        &mut self,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Snapshot);
-        }
-        let mut open = vec![0.0; self.core.protocols.len()];
-        let mut slices = 0usize;
-        while slices < self.worker_txs.len() {
-            match reply_rx.recv() {
-                Ok(WorkerReply::Broadcast { counter, msg }) => {
-                    self.core.issue_broadcast(counter, msg)
-                }
-                Ok(WorkerReply::Estimates { worker, estimates }) => {
-                    let range = plan.range(worker);
-                    if estimates.len() != range.len() {
-                        return Err(ClusterError::Protocol {
-                            context: "sharded coordinator",
-                            detail: format!(
-                                "worker {worker} snapshotted {} estimates for a {}-counter shard",
-                                estimates.len(),
-                                range.len()
-                            ),
-                        });
-                    }
-                    open[range].copy_from_slice(&estimates);
-                    slices += 1;
-                }
-                Ok(WorkerReply::Fault(e)) => return Err(e),
-                Ok(other) => {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: format!("unexpected worker reply {other:?} during a snapshot"),
-                    })
-                }
-                Err(_) => {
-                    return Err(ClusterError::Transport(
-                        "coordinator worker disconnected mid-run".into(),
-                    ))
-                }
-            }
-        }
-        self.core.publish_snapshot(&open);
-        Ok(())
-    }
-
-    fn handle_reply(&mut self, reply: Result<WorkerReply, RecvError>) -> Result<(), ClusterError> {
-        match reply {
-            Ok(WorkerReply::Broadcast { counter, msg }) => {
-                self.core.issue_broadcast(counter, msg);
-                Ok(())
-            }
-            Ok(WorkerReply::Fault(e)) => Err(e),
-            Ok(WorkerReply::BarrierAck) => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: "barrier ack outside a flush barrier".into(),
-            }),
-            Ok(WorkerReply::Estimates { .. }) => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: "snapshot estimates outside a snapshot mark".into(),
-            }),
-            Ok(WorkerReply::Final { .. }) => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: "worker final report during the run".into(),
-            }),
-            Err(_) => {
-                Err(ClusterError::Transport("coordinator worker disconnected mid-run".into()))
-            }
-        }
+    /// Worker barrier closing a flush epoch: the flush acks prove the
+    /// sites are drained, this proves the workers have applied everything
+    /// forwarded before those acks — so every broadcast they triggered is
+    /// issued and counted before the quiescence test. The local bank
+    /// applies and issues synchronously and has nothing to wait for.
+    fn barrier(&mut self) -> Result<(), ClusterError> {
+        let Banks::Workers(links) = &self.banks else { return Ok(()) };
+        links.ask_all(&mut self.core, WorkerMsg::Barrier, |reply| match reply {
+            WorkerReply::BarrierAck => None,
+            other => Some(other),
+        })
     }
 }
 
-/// Single-thread coordinator loop (the baseline hot path: plain blocking
-/// receives on the merged inbox, no select).
-fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
-    protocols: &[P],
-    k: usize,
-    ring_cap: usize,
-    down_txs: Vec<D>,
+/// The coordinator loop, in two phases.
+fn run_coordinator<P: CounterProtocol, D: DownSender>(
+    mut c: Coord<'_, P, D>,
     up_rx: Receiver<UpPacket>,
-    hub: Option<SnapshotHub>,
-    boundary: u64,
 ) -> Result<CoordOut, ClusterError> {
-    let mut c = InlineCoord::new(protocols, k, ring_cap, down_txs, hub, boundary);
-    let mut first_packet: Option<Instant> = None;
-    let mut last_packet = Instant::now();
-    let mut done = 0usize;
+    let bad = |detail: String| ClusterError::Protocol { context: "coordinator", detail };
     // Phase 1: serve traffic until every site reports end-of-stream.
     // Every RollRequest is enqueued by the driver before it closes the
     // event channels, so all of them are dequeued before the k-th Done
     // (FIFO merged inbox).
-    while done < k {
-        match up_rx.recv() {
-            Ok(UpPacket::Updates { site, payload }) => {
-                let now = Instant::now();
-                first_packet.get_or_insert(now);
-                last_packet = now;
-                c.handle_updates(site, payload)?;
-            }
-            Ok(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
-            Ok(UpPacket::Crashed { site, partial }) => c.handle_crashed(site, partial)?,
-            Ok(UpPacket::Inject { site, kill }) => {
+    let mut done = 0usize;
+    while done < c.core.k {
+        match c.next_packet(&up_rx)? {
+            Some(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
+            Some(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
+            Some(UpPacket::Crashed { site, partial }) => c.handle_crashed(site, partial)?,
+            Some(UpPacket::Inject { site, kill }) => {
                 if c.core.handle_inject(site, kill)? {
                     c.rejoin(site);
                 }
             }
-            Ok(UpPacket::RollRequest) => c.request_roll(),
-            Ok(UpPacket::Done) => done += 1,
-            Ok(UpPacket::FlushAck { epoch }) => {
-                return Err(ClusterError::Protocol {
-                    context: "coordinator",
-                    detail: format!("flush ack (epoch {epoch}) before any flush barrier"),
-                })
+            Some(UpPacket::RollRequest) => c.request_roll()?,
+            Some(UpPacket::Done) => done += 1,
+            Some(UpPacket::FlushAck { epoch }) => {
+                return Err(bad(format!("flush ack (epoch {epoch}) before any flush barrier")))
             }
-            Ok(UpPacket::Fault { error, .. }) => return Err(error),
-            Err(_) => break,
+            Some(UpPacket::Fault { error, .. }) => return Err(error),
+            None => break,
         }
     }
     // Phase 2: quiescence handshake. Repeat flush epochs until one
@@ -1937,299 +1712,75 @@ fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
         let expected = c.core.alive_sites();
         let mut acks = 0usize;
         while acks < expected {
-            match up_rx.recv() {
-                Ok(UpPacket::Updates { site, payload }) => {
-                    last_packet = Instant::now();
-                    first_packet.get_or_insert(last_packet);
-                    c.handle_updates(site, payload)?;
+            match c.next_packet(&up_rx)? {
+                Some(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
+                Some(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
+                Some(UpPacket::FlushAck { epoch }) if epoch == flush_epoch => acks += 1,
+                Some(UpPacket::FlushAck { epoch }) => {
+                    return Err(bad(format!(
+                        "flush ack for epoch {epoch} during epoch {flush_epoch}"
+                    )))
                 }
-                Ok(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
-                Ok(UpPacket::FlushAck { epoch }) => {
-                    if epoch != flush_epoch {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: format!(
-                                "flush ack for epoch {epoch} during epoch {flush_epoch}"
-                            ),
-                        });
-                    }
-                    acks += 1;
+                Some(UpPacket::Crashed { site, .. }) => {
+                    return Err(bad(format!("crash marker from site {site} after end of stream")))
                 }
-                Ok(UpPacket::Crashed { site, .. }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "coordinator",
-                        detail: format!("crash marker from site {site} after end of stream"),
-                    })
+                Some(UpPacket::Inject { .. }) => {
+                    return Err(bad("fault injection after end of stream".into()))
                 }
-                Ok(UpPacket::Inject { .. }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "coordinator",
-                        detail: "fault injection after end of stream".into(),
-                    })
+                Some(UpPacket::RollRequest) => {
+                    return Err(bad("roll request after end of stream".into()))
                 }
-                Ok(UpPacket::RollRequest) => {
-                    return Err(ClusterError::Protocol {
-                        context: "coordinator",
-                        detail: "roll request after end of stream".into(),
-                    })
-                }
-                Ok(UpPacket::Done) => {
-                    return Err(ClusterError::Protocol {
-                        context: "coordinator",
-                        detail: "done after all streams closed".into(),
-                    })
-                }
-                Ok(UpPacket::Fault { error, .. }) => return Err(error),
-                Err(_) => acks = expected, // all sites gone; nothing in flight
+                Some(UpPacket::Done) => return Err(bad("done after all streams closed".into())),
+                Some(UpPacket::Fault { error, .. }) => return Err(error),
+                None => break, // all sites gone; nothing in flight
             }
         }
+        c.barrier()?;
         if c.core.downs_since_flush == 0 {
             break;
         }
     }
     if c.core.roller.rolling() {
-        return Err(ClusterError::Protocol {
-            context: "coordinator",
-            detail: "quiescent with an epoch roll still open".into(),
-        });
+        return Err(bad("quiescent with an epoch roll still open".into()));
     }
-    let estimates: Vec<f64> =
-        c.coords.iter().zip(protocols).map(|(co, p)| p.estimate(co)).collect();
-    Ok(c.core.finish(estimates, first_packet, last_packet, flush_epoch))
+    let (estimates, up_messages) = c.read_banks()?;
+    c.core.stats.up_messages = up_messages;
+    Ok(c.core.finish(estimates, c.busy, flush_epoch))
 }
 
-/// Sharded coordinator control loop: same two phases as the inline
-/// coordinator, but the control thread multiplexes the merged transport
-/// inbox with the workers' reply channel, and each flush epoch ends with a
-/// worker barrier — the flush acks prove the sites are drained, the
-/// barrier proves the workers have applied everything forwarded before
-/// those acks, so every broadcast they triggered is issued and counted
-/// before the quiescence test.
-#[allow(clippy::too_many_arguments)]
-fn run_coordinator_sharded<P: CounterProtocol, D: DownSender>(
-    protocols: &[P],
-    plan: ShardPlan,
-    k: usize,
-    ring_cap: usize,
-    down_txs: Vec<D>,
-    up_rx: Receiver<UpPacket>,
-    worker_txs: Vec<Sender<WorkerMsg>>,
-    reply_rx: Receiver<WorkerReply>,
-    hub: Option<SnapshotHub>,
-    boundary: u64,
-) -> Result<CoordOut, ClusterError> {
-    let mut c = ShardedCoord {
-        core: CtlCore::new(protocols, k, ring_cap, down_txs, hub, boundary),
-        worker_txs,
-    };
-    let mut first_packet: Option<Instant> = None;
-    let mut last_packet = Instant::now();
-    let mut done = 0usize;
-    while done < k {
-        // The reply arm comes first: pending broadcasts must be issued
-        // before more packets are forwarded, or the sites' round feedback
-        // (NewRound probability drops) lags the stream arbitrarily and the
-        // paper's message counts inflate. (The select polls arms in
-        // order, so arm order is a priority.)
-        crossbeam::channel::select! {
-            recv(reply_rx) -> reply => c.handle_reply(reply)?,
-            recv(up_rx) -> pkt => match pkt {
-                Ok(UpPacket::Updates { site, payload }) => {
-                    let now = Instant::now();
-                    first_packet.get_or_insert(now);
-                    last_packet = now;
-                    c.handle_updates(site, payload)?;
-                }
-                Ok(UpPacket::Control { site, payload }) => {
-                    c.handle_control(site, payload, &plan, &reply_rx)?
-                }
-                Ok(UpPacket::Crashed { site, partial }) => {
-                    c.handle_crashed(site, partial, &plan, &reply_rx)?
-                }
-                Ok(UpPacket::Inject { site, kill }) => {
-                    if c.core.handle_inject(site, kill)? {
-                        c.rejoin(site);
-                    }
-                }
-                Ok(UpPacket::RollRequest) => c.request_roll(&plan, &reply_rx)?,
-                Ok(UpPacket::Done) => done += 1,
-                Ok(UpPacket::FlushAck { epoch }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "coordinator",
-                        detail: format!("flush ack (epoch {epoch}) before any flush barrier"),
-                    })
-                }
-                Ok(UpPacket::Fault { error, .. }) => return Err(error),
-                Err(_) => break,
-            },
-        }
-    }
-    let mut flush_epoch = 0u64;
-    loop {
-        flush_epoch += 1;
-        c.core.downs_since_flush = 0;
-        c.core.send_flush(flush_epoch);
-        // See the inline coordinator: FIFO ordering proves every `Crashed`
-        // and `Inject` marker was handled in phase 1, so the roster is
-        // final and dead sites are exempt from the barrier.
-        let expected = c.core.alive_sites();
-        let mut acks = 0usize;
-        while acks < expected {
-            crossbeam::channel::select! {
-                recv(reply_rx) -> reply => c.handle_reply(reply)?,
-                recv(up_rx) -> pkt => match pkt {
-                    Ok(UpPacket::Updates { site, payload }) => {
-                        last_packet = Instant::now();
-                        first_packet.get_or_insert(last_packet);
-                        c.handle_updates(site, payload)?;
-                    }
-                    Ok(UpPacket::Control { site, payload }) => {
-                        c.handle_control(site, payload, &plan, &reply_rx)?
-                    }
-                    Ok(UpPacket::FlushAck { epoch }) => {
-                        if epoch != flush_epoch {
-                            return Err(ClusterError::Protocol {
-                                context: "coordinator",
-                                detail: format!(
-                                    "flush ack for epoch {epoch} during epoch {flush_epoch}"
-                                ),
-                            });
-                        }
-                        acks += 1;
-                    }
-                    Ok(UpPacket::Crashed { site, .. }) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: format!("crash marker from site {site} after end of stream"),
-                        })
-                    }
-                    Ok(UpPacket::Inject { .. }) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: "fault injection after end of stream".into(),
-                        })
-                    }
-                    Ok(UpPacket::RollRequest) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: "roll request after end of stream".into(),
-                        })
-                    }
-                    Ok(UpPacket::Done) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: "done after all streams closed".into(),
-                        })
-                    }
-                    Ok(UpPacket::Fault { error, .. }) => return Err(error),
-                    Err(_) => acks = expected,
-                },
-            }
-        }
-        // Worker barrier: per-producer FIFO means each worker's pending
-        // broadcasts precede its ack on the reply channel, so by the time
-        // all workers acked, every broadcast for updates forwarded before
-        // the k-th flush ack has been issued and counted.
-        for tx in &c.worker_txs {
-            let _ = tx.send(WorkerMsg::Barrier);
-        }
-        let workers = c.worker_txs.len();
-        let mut barrier_acks = 0usize;
-        while barrier_acks < workers {
-            match reply_rx.recv() {
-                Ok(WorkerReply::Broadcast { counter, msg }) => c.core.issue_broadcast(counter, msg),
-                Ok(WorkerReply::BarrierAck) => barrier_acks += 1,
-                Ok(WorkerReply::Fault(e)) => return Err(e),
-                Ok(WorkerReply::Estimates { .. }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: "snapshot estimates outside a snapshot mark".into(),
-                    })
-                }
-                Ok(WorkerReply::Final { .. }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: "worker final report during the run".into(),
-                    })
-                }
-                Err(_) => {
-                    return Err(ClusterError::Transport(
-                        "coordinator worker disconnected mid-run".into(),
-                    ))
-                }
-            }
-        }
-        if c.core.downs_since_flush == 0 {
-            break;
-        }
-    }
-    if c.core.roller.rolling() {
-        return Err(ClusterError::Protocol {
-            context: "coordinator",
-            detail: "quiescent with an epoch roll still open".into(),
-        });
-    }
-    // Shutdown: close the worker queues; each worker drains, then reports
-    // its shard's estimates, which stitch back by counter range.
-    let ShardedCoord { mut core, worker_txs } = c;
-    drop(worker_txs);
-    let mut estimates = vec![0.0; protocols.len()];
-    let mut finals = 0usize;
-    while finals < plan.workers() {
-        match reply_rx.recv() {
-            Ok(WorkerReply::Final { worker, up_messages, estimates: shard }) => {
-                let range = plan.range(worker);
-                if shard.len() != range.len() {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: format!(
-                            "worker {worker} reported {} estimates for a {}-counter shard",
-                            shard.len(),
-                            range.len()
-                        ),
-                    });
-                }
-                estimates[range].copy_from_slice(&shard);
-                core.stats.up_messages += up_messages;
-                finals += 1;
-            }
-            Ok(WorkerReply::Fault(e)) => return Err(e),
-            Ok(other) => {
-                return Err(ClusterError::Protocol {
-                    context: "sharded coordinator",
-                    detail: format!("unexpected worker reply {other:?} after quiescence"),
-                })
-            }
-            Err(_) => {
-                return Err(ClusterError::Transport(
-                    "coordinator worker exited without a final report".into(),
-                ))
-            }
-        }
-    }
-    Ok(core.finish(estimates, first_packet, last_packet, flush_epoch))
-}
-
-/// Resolve the configured [`CoordMode`] into a [`ShardPlan`] (or `None`
-/// for the single-thread coordinator).
-fn resolve_plan(
-    workers: usize,
-    shard_starts: Option<&[u32]>,
+/// Check a [`ClusterConfig`] against an `n_counters`-counter run, and
+/// resolve its shard plan: `None` keeps the bank on the control thread.
+fn check_config(
+    config: &ClusterConfig,
     n_counters: usize,
-) -> Result<ShardPlan, ClusterError> {
+) -> Result<Option<ShardPlan>, ClusterError> {
     let bad = |detail: String| ClusterError::Protocol { context: "cluster config", detail };
-    if workers == 0 {
-        return Err(bad("sharded coordinator needs at least one worker".into()));
+    if config.k == 0 {
+        return Err(bad("need at least one site".into()));
     }
-    match shard_starts {
-        Some(starts) => {
-            if starts.len() != workers {
-                return Err(bad(format!("{} shard starts for {workers} workers", starts.len())));
-            }
-            ShardPlan::from_starts(starts.to_vec(), n_counters).map_err(bad)
+    if config.chunk == 0 {
+        return Err(bad("chunk must be >= 1".into()));
+    }
+    if config.epoch_boundary.is_some_and(|b| b == 0 || config.epoch_ring == 0) {
+        return Err(bad("epoch boundary and ring must be >= 1".into()));
+    }
+    for f in &config.faults {
+        if f.site >= config.k {
+            return Err(bad(format!("fault targets site {} but k = {}", f.site, config.k)));
         }
-        None => Ok(ShardPlan::even(n_counters, workers)),
+        if let Some(r) = f.revive_at.filter(|&r| r <= f.kill_at) {
+            return Err(bad(format!("site {} revive_at {r} <= kill_at {}", f.site, f.kill_at)));
+        }
     }
+    let workers = config.coord_workers.max(1);
+    let plan = match &config.shard_starts {
+        Some(starts) if starts.len() != workers => {
+            return Err(bad(format!("{} shard starts for {workers} workers", starts.len())))
+        }
+        Some(starts) => ShardPlan::from_starts(starts.clone(), n_counters).map_err(bad)?,
+        None => ShardPlan::even(n_counters, workers),
+    };
+    Ok((workers > 1).then_some(plan))
 }
 
 /// What a site thread hands back at exit: the final protocol states and
@@ -2358,25 +1909,8 @@ where
     F: Fn(&EventChunk, &mut Vec<u32>) + Sync,
     I: Iterator<Item = EventChunk>,
 {
-    assert!(config.k > 0, "need at least one site");
-    assert!(config.chunk >= 1, "chunk must be >= 1");
-    if let Some(b) = config.epoch_boundary {
-        assert!(b >= 1, "epoch boundary must be >= 1");
-        assert!(config.epoch_ring >= 1, "epoch ring must be >= 1");
-    }
-    for f in &config.faults {
-        assert!(f.site < config.k, "fault targets site {} but k = {}", f.site, config.k);
-        if let Some(r) = f.revive_at {
-            assert!(r > f.kill_at, "site {} revive_at {r} <= kill_at {}", f.site, f.kill_at);
-        }
-    }
+    let plan = check_config(config, protocols.len())?;
     let k = config.k;
-    let plan = match &config.coord {
-        CoordMode::SingleThread => None,
-        CoordMode::Sharded { workers, shard_starts } => {
-            Some(resolve_plan(*workers, shard_starts.as_deref(), protocols.len())?)
-        }
-    };
     let start = Instant::now();
 
     let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } =
@@ -2450,97 +1984,40 @@ where
         }
         drop(state_tx);
 
-        // --- coordinator thread (plus shard workers when sharded) ---
+        // --- coordinator thread (plus shard workers when planned) ---
+        let links = plan.map(|plan| {
+            let (reply_tx, reply_rx) = unbounded::<WorkerReply>();
+            let mut txs = Vec::with_capacity(plan.workers());
+            for w in 0..plan.workers() {
+                let (tx, rx) = bounded::<WorkerMsg>(WORKER_QUEUE);
+                txs.push(tx);
+                let range = plan.range(w);
+                let reply_tx = reply_tx.clone();
+                scope.spawn(move || {
+                    // A panicked shard worker reports a typed fault on the
+                    // reply channel (the control thread aborts on it); its
+                    // queue disconnects, so the control thread's sends
+                    // fail fast instead of blocking.
+                    let run = || run_worker(Bank::new(protocols, k, range), w, rx, &reply_tx);
+                    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+                        let _ = reply_tx.send(WorkerReply::Fault(ClusterError::WorkerPanicked {
+                            role: format!("shard worker {w}"),
+                        }));
+                    }
+                });
+            }
+            WorkerLinks { plan, txs, reply_rx, rolls: 0 }
+        });
         let ring_cap = config.epoch_ring;
         let hub = config.publish.clone();
         let boundary = config.epoch_boundary.unwrap_or(0);
-        let coord_handle = match &plan {
-            None => scope.spawn(move || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_coordinator_inline(
-                        protocols,
-                        k,
-                        ring_cap,
-                        coord_downs,
-                        coord_rx,
-                        hub,
-                        boundary,
-                    )
-                }))
-                .unwrap_or_else(|_| {
-                    Err(ClusterError::WorkerPanicked { role: "coordinator".into() })
-                })
-            }),
-            Some(plan) => {
-                let (reply_tx, reply_rx) = unbounded::<WorkerReply>();
-                let mut worker_txs = Vec::with_capacity(plan.workers());
-                for w in 0..plan.workers() {
-                    // The worker queue must stay *shallow*: the control
-                    // thread is a fast forwarder, and any depth here
-                    // decouples the sites' round feedback (broadcast
-                    // replies) from the stream — a deep queue lets sites
-                    // run arbitrarily far ahead at a stale sampling
-                    // probability, inflating the paper's message counts.
-                    // A short bounded queue makes the control thread block
-                    // on lagging workers, which backpressures the merged
-                    // inbox and so the sites, restoring the single-thread
-                    // coupling. (Workers never block on their reply
-                    // channel, so this cannot deadlock.)
-                    let (tx, rx) = bounded::<WorkerMsg>(WORKER_QUEUE);
-                    worker_txs.push(tx);
-                    let range = plan.range(w);
-                    let reply_tx = reply_tx.clone();
-                    scope.spawn(move || {
-                        let coords = range.clone().map(|c| protocols[c].new_coord(k)).collect();
-                        let panic_tx = reply_tx.clone();
-                        let worker = ShardWorker {
-                            protocols,
-                            k,
-                            worker: w,
-                            range,
-                            coords,
-                            up_messages: 0,
-                            dead_sites: vec![false; k],
-                            reply_tx,
-                            poisoned: false,
-                        };
-                        // A panicked shard worker reports a typed fault on
-                        // the reply channel (the control thread aborts on
-                        // it); its queue disconnects, so the control
-                        // thread's sends fail fast instead of blocking.
-                        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(rx)))
-                            .is_err()
-                        {
-                            let _ =
-                                panic_tx.send(WorkerReply::Fault(ClusterError::WorkerPanicked {
-                                    role: format!("shard worker {w}"),
-                                }));
-                        }
-                    });
-                }
-                drop(reply_tx);
-                let plan = plan.clone();
-                scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_coordinator_sharded(
-                            protocols,
-                            plan,
-                            k,
-                            ring_cap,
-                            coord_downs,
-                            coord_rx,
-                            worker_txs,
-                            reply_rx,
-                            hub,
-                            boundary,
-                        )
-                    }))
-                    .unwrap_or_else(|_| {
-                        Err(ClusterError::WorkerPanicked { role: "coordinator".into() })
-                    })
-                })
-            }
-        };
+        let coord_handle = scope.spawn(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let core = CtlCore::new(protocols, k, ring_cap, coord_downs, hub, boundary);
+                run_coordinator(Coord::new(core, links), coord_rx)
+            }))
+            .unwrap_or_else(|_| Err(ClusterError::WorkerPanicked { role: "coordinator".into() }))
+        });
 
         // --- driver: feed events from the caller thread ---
         // Incoming chunks are re-chunked per destination site: each event
@@ -3035,7 +2512,7 @@ mod tests {
 
     #[test]
     fn hub_publishes_settlements_and_the_final_state() {
-        // Both coordinator modes mint a snapshot at every epoch settlement
+        // Both bank placements mint a snapshot at every epoch settlement
         // and the driver publishes the finalized state after the quiescence
         // handshake. Exact counters make the contract checkable hard: every
         // cumulative read of the final snapshot must equal the oracle, and
@@ -3152,9 +2629,9 @@ mod tests {
     fn lone_coord(
         protocols: &[ExactProtocol],
         k: usize,
-    ) -> InlineCoord<'_, ExactProtocol, Sender<DownPacket>> {
+    ) -> Coord<'_, ExactProtocol, Sender<DownPacket>> {
         let down_txs = (0..k).map(|_| unbounded::<DownPacket>().0).collect();
-        InlineCoord::new(protocols, k, 8, down_txs, None, 0)
+        Coord::new(CtlCore::new(protocols, k, 8, down_txs, None, 0), None)
     }
 
     #[test]
@@ -3242,6 +2719,62 @@ mod tests {
         let mut coord = lone_coord(&protocols, 1);
         let err = coord.handle_control(0, buf.freeze()).unwrap_err();
         assert!(matches!(err, ClusterError::Protocol { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn closing_epoch_broadcast_does_not_cross_the_roll() {
+        // A lagging worker's reply to a pre-roll update reaches the control
+        // thread after `EpochRoll` went down. Issuing it would land a
+        // closing epoch's `SyncRequest` on the sites' fresh state: a fresh
+        // HYZ site answers it, mutes, and then ignores the new epoch's own
+        // `SyncRequest { round: 0 }`, wedging the counter. The roll tag
+        // makes the control thread drop it instead. Deterministic: the
+        // worker queue ends are held by hand, no threads.
+        let protocols = vec![HyzProtocol::new(0.2)];
+        let (down_txs, down_rxs): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| unbounded::<DownPacket>()).unzip();
+        let (worker_tx, _worker_rx) = bounded::<WorkerMsg>(WORKER_QUEUE);
+        let (_reply_tx, reply_rx) = unbounded::<WorkerReply>();
+        let links = WorkerLinks {
+            plan: ShardPlan::even(protocols.len(), 1),
+            txs: vec![worker_tx],
+            reply_rx,
+            rolls: 0,
+        };
+        let mut coord = Coord::new(CtlCore::new(&protocols, 2, 8, down_txs, None, 0), Some(links));
+        coord.request_roll().unwrap();
+        let Banks::Workers(links) = &coord.banks else { unreachable!() };
+        let late =
+            WorkerReply::Broadcast { counter: 0, msg: DownMsg::SyncRequest { round: 0 }, rolls: 0 };
+        links.on_reply(&mut coord.core, late).unwrap();
+        let site0 = || std::iter::from_fn(|| down_rxs[0].try_recv().ok());
+        let mut frames = Vec::new();
+        for pkt in site0() {
+            let DownPacket::Data(payload) = pkt else { panic!("unexpected {pkt:?}") };
+            visit_packet(payload, |item| frames.push(item)).unwrap();
+        }
+        assert_eq!(frames, vec![WireItem::EpochRoll { epoch: 0 }]);
+        assert_eq!(coord.core.rounds[0], (0, 1.0));
+        // The same reply tagged with the current roll count is issued.
+        let fresh =
+            WorkerReply::Broadcast { counter: 0, msg: DownMsg::SyncRequest { round: 0 }, rolls: 1 };
+        links.on_reply(&mut coord.core, fresh).unwrap();
+        assert_eq!(site0().count(), 1);
+    }
+
+    #[test]
+    fn invalid_fault_schedule_is_a_typed_config_error() {
+        // Reachable through `TrackerConfig::faults`: an `Err`, not a panic.
+        let protocols = vec![ExactProtocol];
+        let fault = SiteFault { site: 9, kill_at: 10, revive_at: None };
+        let config = ClusterConfig::new(4, 1).with_faults(vec![fault]);
+        let events = (0..10u64).map(|_| vec![0usize]);
+        let err = run_cluster(&protocols, &config, chunk_events(events, 4), all_zero).unwrap_err();
+        assert!(
+            matches!(&err, ClusterError::Protocol { context: "cluster config", detail }
+                if detail.contains("site 9")),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -3352,18 +2885,34 @@ mod tests {
     fn sharded_hyz_stays_in_band_and_terminates() {
         // HYZ estimates are seed- and interleaving-dependent, so the
         // cross-shape pin is statistical here; the exact bit-identity
-        // claims are pinned on ExactProtocol above.
+        // claims are pinned on ExactProtocol above. With rolling on, every
+        // closed epoch must equal its exact oracle and the open epoch stay
+        // in the same band `hyz_epoch_rolls_terminate_and_settle_exactly`
+        // holds the local bank to.
         let protocols = vec![HyzProtocol::new(0.2)];
         let m = 30_000u64;
         for workers in [2usize, 4] {
-            let config =
-                ClusterConfig::new(4, 7).with_chunk(32).with_sharded_coordinator(workers, None);
-            let events = (0..m).map(|_| vec![0usize]);
-            let report = run_ok(&protocols, &config, chunk_events(events, 32), all_zero);
-            assert_eq!(report.exact_totals[0], m, "workers {workers}");
-            let rel = (report.estimates[0] - m as f64).abs() / m as f64;
-            assert!(rel < 1.0, "workers {workers}: rel {rel}");
-            assert_eq!(report.stats.down_messages, report.stats.broadcasts * 4);
+            for rolling in [false, true] {
+                let tag = format!("workers {workers} rolling {rolling}");
+                let mut config =
+                    ClusterConfig::new(4, 7).with_chunk(32).with_sharded_coordinator(workers, None);
+                if rolling {
+                    config = config.with_epochs(7_000, 4);
+                }
+                let events = (0..m).map(|_| vec![0usize]);
+                let report = run_ok(&protocols, &config, chunk_events(events, 32), all_zero);
+                assert_eq!(report.exact_totals[0], m, "{tag}");
+                assert_eq!(report.epochs, if rolling { 4 } else { 0 }, "{tag}");
+                for (est, exact) in report.epoch_estimates.iter().zip(&report.epoch_exact_totals) {
+                    assert_eq!(est[0], exact[0] as f64, "{tag}: epoch not settled");
+                }
+                let open = report.open_epoch_exact_totals[0];
+                if open > 1_000 {
+                    let rel = (report.estimates[0] - open as f64).abs() / open as f64;
+                    assert!(rel < 1.0, "{tag}: rel {rel}");
+                }
+                assert_eq!(report.stats.down_messages, report.stats.broadcasts * 4);
+            }
         }
     }
 

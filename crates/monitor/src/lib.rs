@@ -18,7 +18,7 @@
 //!   (`EventChunk` slabs on the event channels, multi-event wire packets
 //!   on the up channel, flush-before-control coalescing), the
 //!   `dsbn_counters::wire` frame encoding on every channel send, an
-//!   optionally sharded coordinator ([`cluster::CoordMode`] /
+//!   optionally sharded coordinator (`ClusterConfig::coord_workers` /
 //!   [`shard::ShardPlan`]), and a deterministic quiescence handshake at
 //!   shutdown (no wall-clock drain timeouts). Decode failures surface as
 //!   typed [`transport::ClusterError`]s, never panics.
@@ -39,7 +39,7 @@ pub mod snapshot;
 pub mod transport;
 
 pub use cluster::{
-    run_cluster, run_cluster_on, ChurnReport, ClusterConfig, ClusterReport, CoordMode, SiteFault,
+    run_cluster, run_cluster_on, ChurnReport, ClusterConfig, ClusterReport, SiteFault,
 };
 pub use dsbn_datagen::{chunk_events, EventChunk};
 pub use metrics::MessageStats;

@@ -41,8 +41,8 @@
 //!   0 Data         u32 len, len payload bytes (wire frames)
 //!   1 Flush        u64 epoch
 //!   2 Fault        u32 len, len UTF-8 error description
-//!   3 Kill
 //!   4 Revive       u32 len, len payload bytes (catch-up wire frames)
+//!   (3 is unassigned: kills ride the driver's in-process event feed)
 //! ```
 //!
 //! A site's identity is its connection — site ids never travel in the
@@ -204,10 +204,6 @@ pub enum DownPacket {
     /// The transport link from the coordinator failed; the site forwards
     /// the fault up (so the coordinator aborts) and stops.
     Fault(ClusterError),
-    /// Crash the site (injected fault): it tears its in-flight packet,
-    /// reports [`UpPacket::Crashed`], wipes all protocol state, and goes
-    /// dark until revived.
-    Kill,
     /// Revive a crashed site with fresh protocol state. The payload is the
     /// catch-up broadcast (concatenated down wire frames) that
     /// fast-forwards the fresh state into the current protocol rounds;
@@ -404,7 +400,6 @@ impl DownSender for UdsDownSender {
                 out.push(2);
                 push_len_payload(&mut out, error.to_string().as_bytes());
             }
-            DownPacket::Kill => out.push(3),
             DownPacket::Revive(payload) => {
                 out.push(4);
                 push_len_payload(&mut out, &payload);
@@ -516,7 +511,6 @@ fn read_down_envelope<R: Read>(r: &mut R) -> Result<Envelope<DownPacket>, String
             let msg = String::from_utf8_lossy(&msg).into_owned();
             DownPacket::Fault(ClusterError::Transport(msg))
         }
-        3 => DownPacket::Kill,
         4 => DownPacket::Revive(read_payload(r, "down revive envelope")?),
         other => return Err(format!("down envelope: unknown kind {other}")),
     };
@@ -684,20 +678,25 @@ mod tests {
 
         coord_downs[1].send(DownPacket::Data(payload.clone())).unwrap();
         coord_downs[1].send(DownPacket::Flush(9)).unwrap();
-        coord_downs[1].send(DownPacket::Kill).unwrap();
         coord_downs[1].send(DownPacket::Revive(payload.clone())).unwrap();
         coord_downs[1].send(DownPacket::Fault(ClusterError::Transport("boom".into()))).unwrap();
         assert!(
             matches!(site_downs[1].recv().unwrap(), DownPacket::Data(pl) if pl[..] == [1, 2, 3])
         );
         assert!(matches!(site_downs[1].recv().unwrap(), DownPacket::Flush(9)));
-        assert!(matches!(site_downs[1].recv().unwrap(), DownPacket::Kill));
         assert!(
             matches!(site_downs[1].recv().unwrap(), DownPacket::Revive(pl) if pl[..] == [1, 2, 3])
         );
         assert!(matches!(
             site_downs[1].recv().unwrap(),
             DownPacket::Fault(ClusterError::Transport(m)) if m.contains("boom")
+        ));
+        // Kind 3 is unassigned on the down link: a decode fault, like any
+        // other garbage.
+        coord_downs[1].stream.write_all(&[3u8]).unwrap();
+        assert!(matches!(
+            site_downs[1].recv().unwrap(),
+            DownPacket::Fault(ClusterError::Transport(m)) if m.contains("unknown kind 3")
         ));
 
         drop(site_ups);

@@ -232,18 +232,22 @@ fn corrupting_transport_fails_the_run_with_a_typed_error() {
     let net = sprinkler_network();
     let layout = CounterLayout::new(&net);
     let protocols = vec![ExactProtocol; layout.n_counters()];
-    let events = TrainingStream::new(&net, 7).chunks(16, 1_000);
-    let err = run_cluster_on(
-        &TruncatingTransport,
-        &protocols,
-        &ClusterConfig::new(3, 11).with_chunk(16),
-        events,
-        |chunk, ids| layout.map_chunk(chunk, ids),
-    )
-    .unwrap_err();
-    match err {
-        ClusterError::Wire { source: dsbn::counters::wire::WireError::Truncated, .. } => {}
-        other => panic!("expected a truncated-wire error, got {other:?}"),
+    // The local bank returns the error directly; shard workers route it
+    // through `WorkerReply::Fault`.
+    for config in [
+        ClusterConfig::new(3, 11).with_chunk(16),
+        ClusterConfig::new(3, 11).with_chunk(16).with_sharded_coordinator(2, None),
+    ] {
+        let events = TrainingStream::new(&net, 7).chunks(16, 1_000);
+        let err =
+            run_cluster_on(&TruncatingTransport, &protocols, &config, events, |chunk, ids| {
+                layout.map_chunk(chunk, ids)
+            })
+            .unwrap_err();
+        match err {
+            ClusterError::Wire { source: dsbn::counters::wire::WireError::Truncated, .. } => {}
+            other => panic!("expected a truncated-wire error, got {other:?}"),
+        }
     }
 }
 
