@@ -20,7 +20,7 @@
 //! total work and the events/s figures expose the per-variable constant.
 //! Three runtimes per preset: `map` is the id-mapping kernel in isolation
 //! (`map_chunk` only); `sim` drives
-//! [`AnyTracker::observe_chunk`] over pre-built [`EventChunk`]s (no
+//! [`dsbn_core::AnyTracker::observe_chunk`] over pre-built [`EventChunk`]s (no
 //! sampling or re-chunking in the timed region); `cluster` is the
 //! end-to-end threaded pipeline, whose throughput on a 1-CPU container is
 //! scheduler-noisy — compare within this file only.

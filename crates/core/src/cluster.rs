@@ -217,7 +217,6 @@ fn run_with<P, I>(
 ) -> Result<ClusterReport, ClusterError>
 where
     P: CounterProtocol + Sync,
-    P::Site: Send,
     I: Iterator<Item = Assignment>,
 {
     // Transport the per-event stream to the driver in chunk-sized groups;

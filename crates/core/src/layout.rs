@@ -40,7 +40,7 @@
 //! inner loop at all (0 parents: `u = 0`; 1 parent: `u = x[p]`, the
 //! multiplier is 1 by construction; 2 parents: one multiply–add). All the
 //! per-variable state the kernel needs (slot start, width, cardinality,
-//! block offsets) lives in one packed [`VarPlan`] record so a variable
+//! block offsets) lives in one packed `VarPlan` record so a variable
 //! costs one sequential cache line, not five scattered array loads.
 //!
 //! The independent check is the Horner walk that already exists in

@@ -206,7 +206,7 @@ impl<P: CounterProtocol> BnTracker<P> {
     }
 
     /// Feed `m` events from a stream, in internal chunks of
-    /// [`TRAIN_CHUNK`] events (bit-identical to observing each event
+    /// `TRAIN_CHUNK` events (bit-identical to observing each event
     /// individually; the chunking only amortizes per-event mapping costs).
     pub fn train<I: Iterator<Item = Assignment>>(&mut self, stream: I, m: u64) {
         let mut stream = stream.take(m as usize);
@@ -230,13 +230,12 @@ impl<P: CounterProtocol> BnTracker<P> {
     }
 
     /// Close the open epoch. Settlement: the epoch enters the books as
-    /// its exact total (what the sites' `Cumulative` settlement sums to —
-    /// with the sim's synchronous delivery, exactly `exact_total`); the
-    /// byte cost of the exchange is accounted by
-    /// [`CounterArray::roll_epoch`].
+    /// its exact total — what the sites' `Cumulative` settlement sums to,
+    /// returned by [`CounterArray::roll_epoch`], which also accounts the
+    /// byte cost of the exchange.
     fn roll_epoch(&mut self) {
         let totals: Vec<f64> =
-            (0..self.layout.n_counters()).map(|c| self.array.exact_total(c) as f64).collect();
+            self.array.roll_epoch(self.epochs as u32).into_iter().map(|t| t as f64).collect();
         for (settled, total) in self.settled.iter_mut().zip(&totals) {
             *settled += total;
         }
@@ -244,7 +243,6 @@ impl<P: CounterProtocol> BnTracker<P> {
             self.closed.remove(0);
         }
         self.closed.push(totals);
-        self.array.roll_epoch(self.epochs as u32);
         self.epochs += 1;
     }
 

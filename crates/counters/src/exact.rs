@@ -43,22 +43,6 @@ impl CounterProtocol for ExactProtocol {
         Some(UpMsg::Increment)
     }
 
-    /// Every arrival always emits one [`UpMsg::Increment`], so the batch
-    /// path can skip the per-arrival `Option` plumbing entirely while
-    /// producing the identical message sequence.
-    #[inline]
-    fn increment_batch<R: Rng + ?Sized>(
-        &self,
-        site: &mut ExactSite,
-        counter: u32,
-        count: u64,
-        batch: &mut Vec<(u32, UpMsg)>,
-        _rng: &mut R,
-    ) {
-        site.local += count;
-        batch.extend(std::iter::repeat_n((counter, UpMsg::Increment), count as usize));
-    }
-
     fn handle_down<R: Rng + ?Sized>(
         &self,
         _site: &mut ExactSite,
@@ -117,21 +101,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_override_matches_per_arrival_path() {
+    fn sweep_emits_an_increment_at_every_position() {
+        use crate::protocol::sweep;
         let mut rng = StdRng::seed_from_u64(3);
-        let proto = ExactProtocol;
-        let mut site_a = proto.new_site();
-        let mut site_b = proto.new_site();
-        let mut batch_a = Vec::new();
-        let mut batch_b = Vec::new();
-        proto.increment_batch(&mut site_a, 9, 100, &mut batch_a, &mut rng);
-        for _ in 0..100 {
-            if let Some(up) = proto.increment(&mut site_b, &mut rng) {
-                batch_b.push((9, up));
-            }
+        let protocols = [ExactProtocol; 2];
+        let mut block = [ExactSite::default(); 2];
+        let ids = [1u32, 0, 1, 1];
+        for done in 0..ids.len() {
+            let hit = sweep(&protocols, &mut block, &ids[done..], &mut rng);
+            assert_eq!(hit, Some((0, UpMsg::Increment)));
         }
-        assert_eq!(batch_a, batch_b);
-        assert_eq!(proto.site_local_count(&site_a), proto.site_local_count(&site_b));
+        assert_eq!(sweep(&protocols, &mut block, &[], &mut rng), None);
+        assert_eq!((block[0].local, block[1].local), (1, 3));
     }
 
     #[test]

@@ -35,33 +35,6 @@ pub trait CounterProtocol {
     /// Record one arrival at a site; optionally emit an up message.
     fn increment<R: Rng + ?Sized>(&self, site: &mut Self::Site, rng: &mut R) -> Option<UpMsg>;
 
-    /// Batched UPDATE entry point: record `count` arrivals at a site in one
-    /// call, appending every triggered up message — paired with this
-    /// counter's wire id `counter` — to the event batch. Runtimes that
-    /// bundle all of an event's updates into one packet (the paper's
-    /// transmission optimization) drive counters through this method so a
-    /// protocol can amortize per-arrival work.
-    ///
-    /// The default implementation loops [`Self::increment`]. Overrides must
-    /// emit the *identical* message sequence and end in the identical site
-    /// state — the batched and per-increment pipelines are required to stay
-    /// bit-for-bit equivalent (see the equivalence suite in
-    /// `tests/batched_equivalence.rs`).
-    fn increment_batch<R: Rng + ?Sized>(
-        &self,
-        site: &mut Self::Site,
-        counter: u32,
-        count: u64,
-        batch: &mut Vec<(u32, UpMsg)>,
-        rng: &mut R,
-    ) {
-        for _ in 0..count {
-            if let Some(up) = self.increment(site, rng) {
-                batch.push((counter, up));
-            }
-        }
-    }
-
     /// Deliver a broadcast to a site; optionally emit a reply.
     fn handle_down<R: Rng + ?Sized>(
         &self,
@@ -126,6 +99,52 @@ pub fn snapshot_into<P: CounterProtocol>(protocols: &[P], coords: &[P::Coord], o
     assert_eq!(coords.len(), out.len(), "snapshot slab length mismatch");
     for ((o, p), c) in out.iter_mut().zip(protocols).zip(coords) {
         *o = p.estimate(c);
+    }
+}
+
+/// The site half of UPDATE, over one site's state block (`block[c]` is the
+/// site's state for counter `c`, one protocol instance per counter): touch
+/// `ids` in order and stop at the first touch that emits, returning its
+/// position in `ids` and the message. The caller handles the message out
+/// of line and resumes at `ids[pos + 1..]`, so the silent touches — the
+/// common case once a counter's report probability has dropped — stay in
+/// this one tight loop. Both runtimes in `dsbn-monitor` drive their site
+/// state through it, which is what keeps their touch order and RNG draws
+/// identical. `#[inline]`: where most touches emit (shallow counters), the
+/// caller re-enters once per touch, and an out-of-line call there measured
+/// a tenth off the simulator's throughput.
+#[inline]
+pub fn sweep<P: CounterProtocol, R: Rng + ?Sized>(
+    protocols: &[P],
+    block: &mut [P::Site],
+    ids: &[u32],
+    rng: &mut R,
+) -> Option<(usize, UpMsg)> {
+    for (pos, &id) in ids.iter().enumerate() {
+        let c = id as usize;
+        if let Some(up) = protocols[c].increment(&mut block[c], rng) {
+            return Some((pos, up));
+        }
+    }
+    None
+}
+
+/// Settle or wipe one site's state block: `visit(c, count)` every counter
+/// whose local count is nonzero, in id order, and leave every state fresh
+/// ([`CounterProtocol::new_site`]). An epoch roll visits to settle the
+/// counts, a crash visits to write them off.
+pub fn drain<P: CounterProtocol>(
+    protocols: &[P],
+    block: &mut [P::Site],
+    mut visit: impl FnMut(usize, u64),
+) {
+    assert_eq!(protocols.len(), block.len(), "protocol/site block length mismatch");
+    for (c, (p, site)) in protocols.iter().zip(block).enumerate() {
+        let local = p.site_local_count(site);
+        if local > 0 {
+            visit(c, local);
+        }
+        *site = p.new_site();
     }
 }
 
@@ -210,7 +229,7 @@ mod tests {
     use super::*;
     use crate::exact::ExactProtocol;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn harness_counts_messages() {
@@ -233,24 +252,76 @@ mod tests {
     }
 
     #[test]
-    fn default_increment_batch_is_bit_identical_to_looping() {
-        // The default impl must consume the rng exactly like the
-        // per-arrival loop, for a randomized protocol.
-        let proto = crate::hyz::HyzProtocol::new(0.3);
+    fn sweep_and_resume_is_bit_identical_to_looping() {
+        // 500 touches of one randomized counter, sampling at p = 0.05:
+        // sweep-and-resume must emit the same messages at the same
+        // positions as the per-touch loop, end in the same local count,
+        // and leave the rng at the same draw.
+        use crate::msg::DownMsg;
+        let protocols = [crate::hyz::HyzProtocol::new(0.3)];
+        let proto = &protocols[0];
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
-        let mut site_a = proto.new_site();
+        let mut block = [proto.new_site()];
         let mut site_b = proto.new_site();
-        let mut batch_a = Vec::new();
-        let mut batch_b = Vec::new();
-        proto.increment_batch(&mut site_a, 4, 500, &mut batch_a, &mut rng_a);
-        for _ in 0..500 {
+        let round = DownMsg::NewRound { round: 1, p: 0.05 };
+        proto.handle_down(&mut block[0], round, &mut rng_a);
+        proto.handle_down(&mut site_b, round, &mut rng_b);
+        let ids = [0u32; 500];
+        let mut swept = Vec::new();
+        let mut done = 0;
+        while let Some((pos, up)) = sweep(&protocols, &mut block, &ids[done..], &mut rng_a) {
+            swept.push((done + pos, up));
+            done += pos + 1;
+        }
+        let mut looped = Vec::new();
+        for pos in 0..ids.len() {
             if let Some(up) = proto.increment(&mut site_b, &mut rng_b) {
-                batch_b.push((4, up));
+                looped.push((pos, up));
             }
         }
-        assert_eq!(batch_a, batch_b);
-        assert_eq!(proto.site_local_count(&site_a), proto.site_local_count(&site_b));
+        assert!(swept.len() > 5 && swept.len() < 100, "{} reports", swept.len());
+        assert_eq!(swept, looped);
+        assert_eq!(proto.site_local_count(&block[0]), 500);
+        assert_eq!(proto.site_local_count(&site_b), 500);
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    }
+
+    /// Touch counters `0..n` of a fresh block `touches[c]` times each
+    /// (skipping counter 1), drain it, and check the visits and the reset.
+    fn check_drain<P: CounterProtocol>(protocols: Vec<P>)
+    where
+        P::Site: std::fmt::Debug,
+    {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut block: Vec<P::Site> = protocols.iter().map(|p| p.new_site()).collect();
+        let touches = [40u64, 0, 7, 1];
+        for (c, &t) in touches.iter().enumerate() {
+            let ids = vec![c as u32; t as usize];
+            let mut rest = ids.as_slice();
+            while let Some((pos, _)) = sweep(&protocols, &mut block, rest, &mut rng) {
+                rest = &rest[pos + 1..];
+            }
+        }
+        let nonzero: Vec<(usize, u64)> = (0..block.len())
+            .map(|c| (c, protocols[c].site_local_count(&block[c])))
+            .filter(|&(_, v)| v > 0)
+            .collect();
+        assert_eq!(nonzero, vec![(0, 40), (2, 7), (3, 1)]);
+        let mut visited = Vec::new();
+        drain(&protocols, &mut block, |c, v| visited.push((c, v)));
+        assert_eq!(visited, nonzero);
+        for (p, site) in protocols.iter().zip(&block) {
+            assert_eq!(format!("{site:?}"), format!("{:?}", p.new_site()));
+        }
+        drain(&protocols, &mut block, |c, v| panic!("fresh block visited {c} = {v}"));
+    }
+
+    #[test]
+    fn drain_visits_nonzero_counts_and_leaves_the_block_fresh() {
+        check_drain(vec![ExactProtocol; 4]);
+        check_drain(vec![crate::deterministic::DeterministicProtocol::new(0.2); 4]);
+        check_drain((1..=4).map(|i| crate::hyz::HyzProtocol::new(0.1 * i as f64)).collect());
     }
 
     #[test]

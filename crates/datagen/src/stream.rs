@@ -113,7 +113,7 @@ fn validate_phases<'a>(mut nets: impl Iterator<Item = &'a BayesianNetwork>) {
 impl DriftingStream {
     /// `phases` pairs each network with the number of events it generates
     /// (use [`dsbn_bayes::generate::redraw_cpts`] to build pure parameter
-    /// drifts). Panics per [`validate_phases`].
+    /// drifts). Panics per `validate_phases`.
     pub fn new(phases: &[(&BayesianNetwork, u64)], seed: u64) -> Self {
         validate_phases(phases.iter().map(|(net, _)| *net));
         DriftingStream {

@@ -12,12 +12,12 @@
 //! Ingest is *chunked end to end* (DESIGN.md §2–§3): the driver re-chunks
 //! the incoming [`EventChunk`] stream into per-site chunks of
 //! [`ClusterConfig::chunk`] events, so one channel send carries a whole
-//! slab of events instead of one heap-allocated `Vec` each; a site
-//! accumulates the wire encodings of successive events' updates
-//! ([`dsbn_counters::wire::encode_event`] sections) into one reused buffer
-//! and flushes it as a single multi-event packet on a size /
-//! chunk-boundary policy; the coordinator decodes each packet in one
-//! allocation-free pass ([`dsbn_counters::wire::visit_packet`]).
+//! slab of events instead of one heap-allocated `Vec` each; a site sweeps
+//! each event's counters with [`dsbn_counters::protocol::sweep`] — the
+//! kernel the simulator runs too (DESIGN.md §3.4) — and accumulates the
+//! [`dsbn_counters::wire::encode_event`] sections into one reused buffer,
+//! flushed as a single multi-event packet on a size / chunk-boundary
+//! policy; the coordinator decodes each packet in one allocation-free pass.
 //! Control traffic (sync replies, flush acks, epoch settlements) always
 //! *forces a flush first*, which keeps the FIFO attribution and quiescence
 //! arguments of DESIGN.md §3/§5 intact. `chunk = 1` — the default — is the
@@ -69,7 +69,7 @@ use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use dsbn_counters::epoch::EpochRoller;
 use dsbn_counters::msg::{DownMsg, UpMsg};
-use dsbn_counters::protocol::CounterProtocol;
+use dsbn_counters::protocol::{drain, sweep, CounterProtocol};
 use dsbn_counters::wire::{encode, encode_event, visit_packet, Frame, WireItem};
 use dsbn_datagen::EventChunk;
 use rand::rngs::SmallRng;
@@ -169,15 +169,21 @@ impl ChurnReport {
     }
 }
 
+/// Capacity of the event and up-packet channels (backpressure). Event
+/// channels carry chunks, so the in-flight event bound is
+/// `CHANNEL_CAPACITY * chunk`.
+const CHANNEL_CAPACITY: usize = 4096;
+
+/// A site flushes its accumulated update packet once it reaches this many
+/// bytes, even mid-chunk (bounds buffering; the packet also always flushes
+/// at a chunk boundary and before any control frame).
+const FLUSH_BYTES: usize = 64 * 1024;
+
 /// Cluster runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of sites (coordinator excluded), `k`.
     pub k: usize,
-    /// Capacity of the event and up-packet channels (backpressure). Event
-    /// channels carry chunks, so the in-flight event bound is
-    /// `channel_capacity * chunk`.
-    pub channel_capacity: usize,
     /// Base RNG seed (per-site RNGs derive from it).
     pub seed: u64,
     /// How events are routed to sites.
@@ -186,10 +192,6 @@ pub struct ClusterConfig {
     /// the default — is the per-event pipeline as a degenerate case: every
     /// event travels as its own chunk and flushes its own packet.
     pub chunk: usize,
-    /// Flush a site's accumulated update packet once it reaches this many
-    /// bytes, even mid-chunk (bounds buffering; the packet also always
-    /// flushes at a chunk boundary and before any control frame).
-    pub flush_bytes: usize,
     /// Epoch-ring decay (DESIGN.md §5): close an epoch after every this
     /// many streamed events. `None` — the default, and the paper's setting
     /// — runs the whole stream as one open epoch; every pre-epoch code
@@ -227,11 +229,9 @@ impl ClusterConfig {
     pub fn new(k: usize, seed: u64) -> Self {
         ClusterConfig {
             k,
-            channel_capacity: 4096,
             seed,
             partitioner: Partitioner::UniformRandom,
             chunk: 1,
-            flush_bytes: 64 * 1024,
             epoch_boundary: None,
             epoch_ring: 8,
             coord_workers: 1,
@@ -374,6 +374,49 @@ enum SiteFeed {
     Kill,
 }
 
+/// A site's books, handed back to the driver at exit: the inputs of the
+/// exact oracles and the site's half of the churn ledger. The epoch oracle
+/// is bounded — the report needs the sum over all closed epochs and the
+/// last `ring_cap` of them, never the whole history.
+struct SiteLedger {
+    site_id: usize,
+    /// Local counts of the open epoch, drained from the states at exit.
+    open: Vec<u64>,
+    /// Per-counter sum of every closed epoch's local counts.
+    closed_sum: Vec<u64>,
+    /// Rolls this site observed, live or dead.
+    rolls: u64,
+    /// The last `ring_cap` closed epochs' local counts, oldest first.
+    ring: VecDeque<Vec<u64>>,
+    ring_cap: usize,
+    /// Per-counter increments lost to churn (wiped at crashes, discarded
+    /// while dead) — the site's half of the reconciliation identity.
+    lost: Vec<u64>,
+    /// Events discarded on arrival without being ingested.
+    events_lost: u64,
+    /// Cumulative downtime over all outages.
+    downtime: Duration,
+}
+
+impl SiteLedger {
+    /// Record one closed epoch's local counts.
+    fn close_epoch(&mut self, snap: Vec<u64>) {
+        add_into(&mut self.closed_sum, &snap);
+        if self.ring.len() == self.ring_cap {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(snap);
+        self.rolls += 1;
+    }
+}
+
+/// `into[c] += from[c]` — the per-counter ledger fold.
+fn add_into(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
+    }
+}
+
 /// Per-site-thread state: the protocol site states plus the chunked send
 /// path — a reused packet buffer that accumulates `encode_event` sections
 /// and flushes on size, at chunk boundaries, and (always) before any
@@ -385,14 +428,11 @@ enum SiteFeed {
 /// Generic over the transport's up-sending half `U`, so the same loop runs
 /// over a channel or a socket.
 struct SiteWorker<'a, P: CounterProtocol, F, U: UpSender> {
-    site_id: usize,
     protocols: &'a [P],
     map_event: &'a F,
     up_tx: U,
-    flush_bytes: usize,
     states: Vec<P::Site>,
-    /// Exact per-epoch snapshots taken at each roll (oracle).
-    snaps: Vec<Vec<u64>>,
+    ledger: SiteLedger,
     rng: SmallRng,
     /// Scratch: the current chunk's counter ids, back to back at a fixed
     /// per-event stride (the layout's `map_chunk` slab).
@@ -407,23 +447,53 @@ struct SiteWorker<'a, P: CounterProtocol, F, U: UpSender> {
     /// Crashed: discard events and broadcasts, never ack a barrier, wait
     /// for `Revive`.
     dead: bool,
-    /// Per-counter increments lost to churn (wiped at crashes, discarded
-    /// while dead) — the site's half of the reconciliation identity.
-    lost: Vec<u64>,
-    /// Events discarded on arrival without being ingested.
-    events_lost: u64,
     /// When the current outage started (set at the crash).
     down_since: Option<Instant>,
-    /// Cumulative downtime over all outages.
-    downtime: Duration,
 }
 
-impl<P, F, U> SiteWorker<'_, P, F, U>
+impl<'a, P, F, U> SiteWorker<'a, P, F, U>
 where
     P: CounterProtocol,
     F: Fn(&EventChunk, &mut Vec<u32>),
     U: UpSender,
 {
+    /// A live site with fresh protocol states, keeping the last `ring_cap`
+    /// epochs in its oracle.
+    fn new(
+        site_id: usize,
+        protocols: &'a [P],
+        map_event: &'a F,
+        up_tx: U,
+        seed: u64,
+        ring_cap: usize,
+    ) -> Self {
+        let n = protocols.len();
+        SiteWorker {
+            protocols,
+            map_event,
+            up_tx,
+            states: protocols.iter().map(|p| p.new_site()).collect(),
+            ledger: SiteLedger {
+                site_id,
+                open: vec![0; n],
+                closed_sum: vec![0; n],
+                rolls: 0,
+                ring: VecDeque::new(),
+                ring_cap,
+                lost: vec![0; n],
+                events_lost: 0,
+                downtime: Duration::ZERO,
+            },
+            rng: SmallRng::seed_from_u64(seed ^ (site_id as u64).wrapping_mul(0x9e37_79b9)),
+            ids: Vec::new(),
+            batch: Vec::new(),
+            pkt: BytesMut::new(),
+            dying: false,
+            dead: false,
+            down_since: None,
+        }
+    }
+
     /// Send the accumulated packet, if any. Returns `false` when the up
     /// link is gone (the run is over).
     fn flush(&mut self) -> bool {
@@ -432,19 +502,28 @@ where
         }
         let payload = Bytes::copy_from_slice(&self.pkt);
         self.pkt.clear();
-        self.up_tx.send(UpPacket::Updates { site: self.site_id, payload }).is_ok()
+        self.up_tx.send(UpPacket::Updates { site: self.ledger.site_id, payload }).is_ok()
     }
 
     /// Report an unrecoverable error up (so the coordinator aborts the run
     /// with it) and stop this site. Always returns `false`.
     fn fault(&mut self, error: ClusterError) -> bool {
-        let _ = self.up_tx.send(UpPacket::Fault { site: self.site_id, error });
+        let _ = self.up_tx.send(UpPacket::Fault { site: self.ledger.site_id, error });
         false
     }
 
-    /// Run UPDATE for every event in a chunk, coalescing the events' wire
-    /// encodings into the packet buffer; flush on the size threshold, at
-    /// the chunk boundary, and immediately after any event that produced a
+    /// Take one delivered chunk: run UPDATE for events `[0, keep)`,
+    /// coalescing their wire encodings into the packet buffer, and write
+    /// events `[keep, len)` off into the loss ledger un-ingested (each id
+    /// of the mapped slab is exactly one lost increment). A live site keeps
+    /// the whole chunk, a dead one nothing; a site holding a kill order
+    /// keeps the first half with `hold` set — every flush suppressed, so
+    /// the updates pile up in the buffer — and then [`Self::crash`]es,
+    /// tearing the buffered packet mid-frame: the deterministic
+    /// reproduction of a site dying mid-flush.
+    ///
+    /// Unless held, the packet flushes on the size threshold, at the chunk
+    /// boundary, and immediately after any event that produced a
     /// non-increment message. Reports (and cumulative/threshold messages)
     /// drive the protocols' round feedback — a buffered HYZ report delays
     /// the sync/`NewRound` cycle, leaving sites sampling at a stale higher
@@ -452,106 +531,40 @@ where
     /// they ship promptly, like the other control-ish traffic (the
     /// flush-before-control rule). Bare increments, the exact-maintenance
     /// hot path, carry no feedback and keep full amortization.
-    fn handle_chunk(&mut self, chunk: &EventChunk) -> bool {
-        if self.dead {
-            self.lose_chunk(chunk);
-            return true;
-        }
-        if self.dying {
-            return self.crash_mid_chunk(chunk);
-        }
+    fn ingest(&mut self, chunk: &EventChunk, keep: usize, hold: bool) -> bool {
         if chunk.is_empty() {
-            return self.flush();
+            return hold || self.flush();
         }
         // Map the whole chunk in one sweep (the layout's stride-table bulk
-        // kernel — no per-event re-deriving), then walk the id slab at its
-        // fixed per-event stride. The scratch is taken out of `self` for
-        // the duration so mid-loop flushes can borrow the worker.
+        // kernel), then walk the id slab at its fixed per-event stride —
+        // the `2n` of Algorithm 2 under a layout mapping; test doubles may
+        // emit fewer. The scratch is taken out of `self` for the duration
+        // so mid-loop flushes can borrow the worker.
         let mut ids = std::mem::take(&mut self.ids);
         (self.map_event)(chunk, &mut ids);
-        let stride = self.chunk_stride(&ids, chunk.len());
+        let stride = ids.len() / chunk.len();
+        debug_assert_eq!(stride * chunk.len(), ids.len(), "mapping must emit a fixed stride");
         let mut ok = true;
-        for e in 0..chunk.len() {
-            for &cid in &ids[e * stride..(e + 1) * stride] {
-                self.protocols[cid as usize].increment_batch(
-                    &mut self.states[cid as usize],
-                    cid,
-                    1,
-                    &mut self.batch,
-                    &mut self.rng,
-                );
+        for e in 0..keep {
+            let mut rest = &ids[e * stride..(e + 1) * stride];
+            while let Some((pos, up)) = sweep(self.protocols, &mut self.states, rest, &mut self.rng)
+            {
+                self.batch.push((rest[pos], up));
+                rest = &rest[pos + 1..];
             }
             let urgent = self.batch.iter().any(|(_, m)| !matches!(m, UpMsg::Increment));
             encode_event(&mut self.batch, &mut self.pkt);
-            if (urgent || self.pkt.len() >= self.flush_bytes) && !self.flush() {
+            if !hold && (urgent || self.pkt.len() >= FLUSH_BYTES) && !self.flush() {
                 ok = false;
                 break;
             }
         }
+        for &cid in &ids[keep * stride..] {
+            self.ledger.lost[cid as usize] += 1;
+        }
+        self.ledger.events_lost += (chunk.len() - keep) as u64;
         self.ids = ids;
-        ok && self.flush()
-    }
-
-    /// The per-event id stride of a mapped chunk slab (the `2n` of
-    /// Algorithm 2 under a layout mapping; test doubles may emit fewer).
-    fn chunk_stride(&self, ids: &[u32], events: usize) -> usize {
-        let stride = ids.len() / events;
-        debug_assert_eq!(stride * events, ids.len(), "mapping must emit a fixed per-event stride");
-        stride
-    }
-
-    /// Discard a chunk routed to this dead site: every event is counted
-    /// into the loss ledger, nothing is ingested. The mapped slab feeds the
-    /// ledger directly — each id in it is exactly one lost increment.
-    fn lose_chunk(&mut self, chunk: &EventChunk) {
-        if chunk.is_empty() {
-            return;
-        }
-        let mut ids = std::mem::take(&mut self.ids);
-        (self.map_event)(chunk, &mut ids);
-        for &cid in &ids {
-            self.lost[cid as usize] += 1;
-        }
-        self.events_lost += chunk.len() as u64;
-        self.ids = ids;
-    }
-
-    /// A `Kill` is pending: ingest the first half of this chunk with every
-    /// flush suppressed (so the updates pile into the packet buffer),
-    /// discard the second half, then crash — tearing the buffered packet
-    /// mid-frame. This is the deterministic reproduction of a site dying
-    /// mid-flush: the coordinator receives a truncated final packet it
-    /// must attribute and discard.
-    fn crash_mid_chunk(&mut self, chunk: &EventChunk) -> bool {
-        let keep = chunk.len().div_ceil(2);
-        if !chunk.is_empty() {
-            let mut ids = std::mem::take(&mut self.ids);
-            (self.map_event)(chunk, &mut ids);
-            let stride = self.chunk_stride(&ids, chunk.len());
-            for (i, ev_ids) in
-                (0..chunk.len()).map(|e| &ids[e * stride..(e + 1) * stride]).enumerate()
-            {
-                if i < keep {
-                    for &cid in ev_ids {
-                        self.protocols[cid as usize].increment_batch(
-                            &mut self.states[cid as usize],
-                            cid,
-                            1,
-                            &mut self.batch,
-                            &mut self.rng,
-                        );
-                    }
-                    encode_event(&mut self.batch, &mut self.pkt);
-                } else {
-                    for &cid in ev_ids {
-                        self.lost[cid as usize] += 1;
-                    }
-                    self.events_lost += 1;
-                }
-            }
-            self.ids = ids;
-        }
-        self.crash()
+        ok && (hold || self.flush())
     }
 
     /// Execute the crash (fail-stop): send the torn prefix of whatever was
@@ -563,14 +576,12 @@ where
         let partial = Bytes::copy_from_slice(&self.pkt[..self.pkt.len() / 2]);
         self.pkt.clear();
         self.batch.clear();
-        for (c, st) in self.states.iter_mut().enumerate() {
-            self.lost[c] += self.protocols[c].site_local_count(st);
-            *st = self.protocols[c].new_site();
-        }
+        let lost = &mut self.ledger.lost;
+        drain(self.protocols, &mut self.states, |c, count| lost[c] += count);
         self.dying = false;
         self.dead = true;
         self.down_since = Some(Instant::now());
-        self.up_tx.send(UpPacket::Crashed { site: self.site_id, partial }).is_ok()
+        self.up_tx.send(UpPacket::Crashed { site: self.ledger.site_id, partial }).is_ok()
     }
 
     /// Come back from the dead with the protocol states already fresh
@@ -584,38 +595,9 @@ where
         }
         self.dead = false;
         if let Some(t) = self.down_since.take() {
-            self.downtime += t.elapsed();
-        }
-        if catchup.is_empty() {
-            return true;
+            self.ledger.downtime += t.elapsed();
         }
         self.handle_data(catchup)
-    }
-
-    /// A dead site discards broadcast data, but the per-epoch oracle needs
-    /// every site to observe every roll exactly once: scan the packet for
-    /// `EpochRoll` frames and record an all-zero epoch snapshot for each
-    /// (the site's counts for the closing epoch were wiped into the loss
-    /// ledger at the crash, or discarded on arrival).
-    fn observe_rolls_dead(&mut self, payload: Bytes) -> bool {
-        let n = self.protocols.len();
-        let mut zero_snaps = 0usize;
-        let res = visit_packet(payload, |item| {
-            if let WireItem::EpochRoll { .. } = item {
-                zero_snaps += 1;
-            }
-        });
-        for _ in 0..zero_snaps {
-            self.snaps.push(vec![0; n]);
-        }
-        if let Err(source) = res {
-            return self.fault(ClusterError::Wire {
-                context: "down packet",
-                site: Some(self.site_id),
-                source,
-            });
-        }
-        true
     }
 
     /// Close an epoch at this site: flush everything produced before the
@@ -624,50 +606,41 @@ where
     /// ack), snapshot the exact per-epoch deltas (states were fresh at the
     /// previous roll, so the local count *is* the delta), reset, and send
     /// the settlement control packet: one `Cumulative` frame per nonzero
-    /// counter — the epoch's terminal sync — followed by the ack.
+    /// counter — the epoch's terminal sync — followed by the ack. A dead
+    /// site only records an all-zero epoch (its counts were wiped into the
+    /// loss ledger at the crash, or discarded on arrival): the per-epoch
+    /// oracle needs every site to observe every roll exactly once.
     fn roll_epoch(&mut self, epoch: u32) -> bool {
+        if self.dead {
+            self.ledger.close_epoch(vec![0; self.protocols.len()]);
+            return true;
+        }
         if !self.batch.is_empty() {
             encode_event(&mut self.batch, &mut self.pkt);
         }
         if !self.flush() {
             return false;
         }
-        let snap: Vec<u64> = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(c, st)| self.protocols[c].site_local_count(st))
-            .collect();
-        for (c, st) in self.states.iter_mut().enumerate() {
-            *st = self.protocols[c].new_site();
-        }
         // The packet buffer is empty after the flush; borrow it for the
         // control packet.
-        for (c, &value) in snap.iter().enumerate() {
-            if value > 0 {
-                encode(
-                    &Frame::Up { counter: c as u32, msg: UpMsg::Cumulative { value } },
-                    &mut self.pkt,
-                );
-            }
-        }
+        let mut snap = vec![0u64; self.protocols.len()];
+        let pkt = &mut self.pkt;
+        drain(self.protocols, &mut self.states, |c, value| {
+            snap[c] = value;
+            encode(&Frame::Up { counter: c as u32, msg: UpMsg::Cumulative { value } }, pkt);
+        });
         encode(&Frame::EpochAck { epoch }, &mut self.pkt);
-        self.snaps.push(snap);
+        self.ledger.close_epoch(snap);
         let payload = Bytes::copy_from_slice(&self.pkt);
         self.pkt.clear();
-        self.up_tx.send(UpPacket::Control { site: self.site_id, payload }).is_ok()
+        self.up_tx.send(UpPacket::Control { site: self.ledger.site_id, payload }).is_ok()
     }
 
     /// Handle one down packet; returns `false` when the run is over (link
     /// gone) or this site faulted (the fault is forwarded up first).
     fn handle_down(&mut self, pkt: DownPacket) -> bool {
         match pkt {
-            DownPacket::Data(payload) => {
-                if self.dead {
-                    return self.observe_rolls_dead(payload);
-                }
-                self.handle_data(payload)
-            }
+            DownPacket::Data(payload) => self.handle_data(payload),
             // The down link is FIFO, so by the time the barrier is read
             // every earlier broadcast has been handled and its replies
             // sent — the flush below pushes anything still buffered onto
@@ -691,7 +664,8 @@ where
     }
 
     /// Decode and apply one broadcast-data payload (a down packet's, or a
-    /// rejoin catch-up's — same frames, same rules).
+    /// rejoin catch-up's — same frames, same rules). A dead site decodes
+    /// the packet too, but discards every broadcast in it.
     fn handle_data(&mut self, payload: Bytes) -> bool {
         let mut ok = true;
         let mut err: Option<ClusterError> = None;
@@ -700,6 +674,7 @@ where
                 return;
             }
             match item {
+                WireItem::Down { .. } if self.dead => {}
                 WireItem::Down { counter, msg } => {
                     let c = counter as usize;
                     if c >= self.protocols.len() {
@@ -733,7 +708,7 @@ where
         if let Err(source) = res {
             return self.fault(ClusterError::Wire {
                 context: "down packet",
-                site: Some(self.site_id),
+                site: Some(self.ledger.site_id),
                 source,
             });
         }
@@ -1783,20 +1758,6 @@ fn check_config(
     Ok((workers > 1).then_some(plan))
 }
 
-/// What a site thread hands back at exit: the final protocol states and
-/// per-epoch exact snapshots (the oracle inputs), plus the site's churn
-/// ledger.
-struct SiteFinal<S> {
-    site_id: usize,
-    states: Vec<S>,
-    snaps: Vec<Vec<u64>>,
-    /// Per-counter increments wiped by crashes or discarded while dead.
-    lost: Vec<u64>,
-    /// Events discarded while dead without ever being ingested.
-    events_lost: u64,
-    downtime: Duration,
-}
-
 /// One site thread's serve loop, extracted so the spawn site can wrap it
 /// in `catch_unwind` and turn an escaped panic — e.g. from a
 /// caller-supplied protocol or `map_event` — into a typed in-band
@@ -1822,19 +1783,22 @@ fn run_site<P, F, U>(
             },
             recv(event_rx) -> chunk => match chunk {
                 Ok(SiteFeed::Chunk(chunk)) => {
-                    if !worker.handle_chunk(&chunk) {
+                    let ok = if worker.dead {
+                        worker.ingest(&chunk, 0, false)
+                    } else if worker.dying {
+                        worker.ingest(&chunk, chunk.len().div_ceil(2), true) && worker.crash()
+                    } else {
+                        worker.ingest(&chunk, chunk.len(), false)
+                    };
+                    if !ok {
                         return;
                     }
                 }
-                // The in-band kill order: arm the crash. It lands on the
-                // next chunk (tearing its packet mid-frame) or at
-                // end-of-stream, whichever comes first; a site already
+                // The in-band kill order: arm the crash. It lands half-way
+                // through the next chunk (tearing its packet mid-frame) or
+                // at end-of-stream, whichever comes first; a site already
                 // dead has nothing left to kill (fail-stop).
-                Ok(SiteFeed::Kill) => {
-                    if !worker.dead {
-                        worker.dying = true;
-                    }
-                }
+                Ok(SiteFeed::Kill) => worker.dying = !worker.dead,
                 Err(_) => {
                     // Stream finished. A site still holding a kill order
                     // crashes here, with an empty partial packet (every
@@ -1871,7 +1835,6 @@ pub fn run_cluster<P, F, I>(
 ) -> Result<ClusterReport, ClusterError>
 where
     P: CounterProtocol + Sync,
-    P::Site: Send,
     F: Fn(&EventChunk, &mut Vec<u32>) + Sync,
     I: Iterator<Item = EventChunk>,
 {
@@ -1905,26 +1868,24 @@ pub fn run_cluster_on<T, P, F, I>(
 where
     T: Transport,
     P: CounterProtocol + Sync,
-    P::Site: Send,
     F: Fn(&EventChunk, &mut Vec<u32>) + Sync,
     I: Iterator<Item = EventChunk>,
 {
     let plan = check_config(config, protocols.len())?;
-    let k = config.k;
+    let (k, ring_cap) = (config.k, config.epoch_ring);
     let start = Instant::now();
 
     let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } =
-        transport.connect(k, config.channel_capacity)?;
+        transport.connect(k, CHANNEL_CAPACITY)?;
 
     let mut event_txs: Vec<Sender<SiteFeed>> = Vec::with_capacity(k);
     let mut event_rxs: Vec<Receiver<SiteFeed>> = Vec::with_capacity(k);
     for _ in 0..k {
-        let (tx, rx) = bounded::<SiteFeed>(config.channel_capacity);
+        let (tx, rx) = bounded::<SiteFeed>(CHANNEL_CAPACITY);
         event_txs.push(tx);
         event_rxs.push(rx);
     }
-    // Final site states, oracle snapshots, and churn ledgers.
-    let (state_tx, state_rx) = unbounded::<SiteFinal<P::Site>>();
+    let (state_tx, state_rx) = unbounded::<SiteLedger>();
 
     let result = std::thread::scope(|scope| {
         // --- site threads ---
@@ -1934,27 +1895,9 @@ where
             let state_tx = state_tx.clone();
             let map_event = &map_event;
             let seed = config.seed;
-            let flush_bytes = config.flush_bytes;
             scope.spawn(move || {
-                let mut worker = SiteWorker {
-                    site_id,
-                    protocols,
-                    map_event,
-                    up_tx,
-                    flush_bytes,
-                    states: protocols.iter().map(|p| p.new_site()).collect(),
-                    snaps: Vec::new(),
-                    rng: SmallRng::seed_from_u64(seed ^ (site_id as u64).wrapping_mul(0x9e37_79b9)),
-                    ids: Vec::new(),
-                    batch: Vec::new(),
-                    pkt: BytesMut::new(),
-                    dying: false,
-                    dead: false,
-                    lost: vec![0; protocols.len()],
-                    events_lost: 0,
-                    down_since: None,
-                    downtime: Duration::ZERO,
-                };
+                let mut worker =
+                    SiteWorker::new(site_id, protocols, map_event, up_tx, seed, ring_cap);
                 // A panic out of the serve loop (protocol or `map_event`
                 // code is caller-supplied) becomes an in-band typed fault,
                 // so the coordinator aborts the run with it instead of the
@@ -1970,16 +1913,11 @@ where
                     });
                 }
                 if let Some(t) = worker.down_since.take() {
-                    worker.downtime += t.elapsed();
+                    worker.ledger.downtime += t.elapsed();
                 }
-                let _ = state_tx.send(SiteFinal {
-                    site_id,
-                    states: worker.states,
-                    snaps: worker.snaps,
-                    lost: worker.lost,
-                    events_lost: worker.events_lost,
-                    downtime: worker.downtime,
-                });
+                let open = &mut worker.ledger.open;
+                drain(protocols, &mut worker.states, |c, count| open[c] = count);
+                let _ = state_tx.send(worker.ledger);
             });
         }
         drop(state_tx);
@@ -2008,7 +1946,6 @@ where
             }
             WorkerLinks { plan, txs, reply_rx, rolls: 0 }
         });
-        let ring_cap = config.epoch_ring;
         let hub = config.publish.clone();
         let boundary = config.epoch_boundary.unwrap_or(0);
         let coord_handle = scope.spawn(move || {
@@ -2049,41 +1986,34 @@ where
         injections.sort_unstable();
         let mut next_inject = 0usize;
         let mut n_events = 0u64;
-        let chunk_cap = config.chunk;
         let mut builders: Vec<EventChunk> = (0..k).map(|_| EventChunk::new()).collect();
+        // Send a site's pending chunk (if any) and start its next one;
+        // `false` when the site's event link is gone.
+        let ship = |site: usize, builder: &mut EventChunk| {
+            if builder.is_empty() {
+                return true;
+            }
+            let next = EventChunk::with_capacity(builder.n_vars(), config.chunk);
+            event_txs[site].send(SiteFeed::Chunk(std::mem::replace(builder, next))).is_ok()
+        };
+        // Fire one injection (see above); `false` when a link is gone.
+        let inject = |site: usize, kill: bool, builder: &mut EventChunk| {
+            driver_up.send(UpPacket::Inject { site, kill }).is_ok()
+                && (!kill || (ship(site, builder) && event_txs[site].send(SiteFeed::Kill).is_ok()))
+        };
         'stream: for chunk in events {
             for ev in chunk.iter() {
                 let site = assigner.assign(&mut driver_rng);
                 builders[site].push_u32(ev);
                 n_events += 1;
-                if builders[site].len() >= chunk_cap {
-                    let full = std::mem::replace(
-                        &mut builders[site],
-                        EventChunk::with_capacity(ev.len(), chunk_cap),
-                    );
-                    if event_txs[site].send(SiteFeed::Chunk(full)).is_err() {
-                        break 'stream;
-                    }
+                if builders[site].len() >= config.chunk && !ship(site, &mut builders[site]) {
+                    break 'stream;
                 }
                 while next_inject < injections.len() && injections[next_inject].0 <= n_events {
                     let (_, site, kill) = injections[next_inject];
                     next_inject += 1;
-                    if driver_up.send(UpPacket::Inject { site, kill }).is_err() {
+                    if !inject(site, kill, &mut builders[site]) {
                         break 'stream;
-                    }
-                    if kill {
-                        if !builders[site].is_empty() {
-                            let full = std::mem::replace(
-                                &mut builders[site],
-                                EventChunk::with_capacity(ev.len(), chunk_cap),
-                            );
-                            if event_txs[site].send(SiteFeed::Chunk(full)).is_err() {
-                                break 'stream;
-                            }
-                        }
-                        if event_txs[site].send(SiteFeed::Kill).is_err() {
-                            break 'stream;
-                        }
                     }
                 }
                 // The driver is the only party that sees the global event
@@ -2097,14 +2027,8 @@ where
                 if let Some(b) = config.epoch_boundary {
                     if n_events.is_multiple_of(b) {
                         for (site, builder) in builders.iter_mut().enumerate() {
-                            if !builder.is_empty() {
-                                let full = std::mem::replace(
-                                    builder,
-                                    EventChunk::with_capacity(ev.len(), chunk_cap),
-                                );
-                                if event_txs[site].send(SiteFeed::Chunk(full)).is_err() {
-                                    break 'stream;
-                                }
+                            if !ship(site, builder) {
+                                break 'stream;
                             }
                         }
                         if driver_up.send(UpPacket::RollRequest).is_err() {
@@ -2114,10 +2038,8 @@ where
                 }
             }
         }
-        for (site, builder) in builders.into_iter().enumerate() {
-            if !builder.is_empty() {
-                let _ = event_txs[site].send(SiteFeed::Chunk(builder));
-            }
+        for (site, builder) in builders.iter_mut().enumerate() {
+            let _ = ship(site, builder);
         }
         // Injections scheduled past the stream's end still fire rather
         // than silently vanishing when the stream is shorter than their
@@ -2126,10 +2048,7 @@ where
         // event-channel close, so the site crashes at end-of-stream (with
         // nothing buffered, an empty partial). Every scheduled kill lands.
         for &(_, site, kill) in &injections[next_inject..] {
-            let _ = driver_up.send(UpPacket::Inject { site, kill });
-            if kill {
-                let _ = event_txs[site].send(SiteFeed::Kill);
-            }
+            let _ = inject(site, kill, &mut builders[site]);
         }
         drop(driver_up);
         for tx in event_txs.drain(..) {
@@ -2143,12 +2062,17 @@ where
             .join()
             .map_err(|_| ClusterError::WorkerPanicked { role: "coordinator".into() })??;
 
-        // Reconstruct the exact oracles from returned site states: the
-        // cumulative per-counter totals, the per-epoch totals (from the
-        // snapshots each site took at its rolls), and the open epoch's.
+        // Reconstruct the exact oracles from what the sites counted: the
+        // cumulative per-counter totals, the retained epochs' totals (from
+        // the snapshots each site took at its last rolls), and the open
+        // epoch's. Epochs beyond the ring are *reported* as dropped, not
+        // silently truncated.
         let n_counters = protocols.len();
-        let mut epoch_exact: Vec<Vec<u64>> = vec![vec![0u64; n_counters]; out.epochs as usize];
+        let retained = (out.epochs as usize).min(config.epoch_ring);
+        debug_assert_eq!(retained, out.closed_estimates.len());
+        let mut epoch_exact_totals = vec![vec![0u64; n_counters]; retained];
         let mut open_epoch_exact_totals = vec![0u64; n_counters];
+        let mut exact_totals = vec![0u64; n_counters];
         let mut churn = ChurnReport {
             kills: out.kills,
             revives: out.revives,
@@ -2159,34 +2083,28 @@ where
             events_lost: 0,
         };
         for fin in state_rx.iter() {
-            // Dead sites record an all-zero snapshot per roll they slept
-            // through, so the oracle invariant holds under churn too.
-            assert_eq!(fin.snaps.len(), out.epochs as usize, "site missed an epoch roll");
-            for (e, snap) in fin.snaps.iter().enumerate() {
-                for (c, v) in snap.iter().enumerate() {
-                    epoch_exact[e][c] += v;
-                }
+            // Every site observes every roll exactly once (dead sites
+            // record an all-zero epoch per roll they slept through), so
+            // the sites' rings line up epoch for epoch.
+            if fin.rolls != out.epochs {
+                return Err(ClusterError::Protocol {
+                    context: "epoch oracle",
+                    detail: format!(
+                        "site {} observed {} epoch rolls, the coordinator closed {}",
+                        fin.site_id, fin.rolls, out.epochs
+                    ),
+                });
             }
-            for (c, st) in fin.states.iter().enumerate() {
-                open_epoch_exact_totals[c] += protocols[c].site_local_count(st);
+            for (totals, snap) in epoch_exact_totals.iter_mut().zip(&fin.ring) {
+                add_into(totals, snap);
             }
-            for (c, v) in fin.lost.iter().enumerate() {
-                churn.lost_counts[c] += v;
-            }
+            add_into(&mut exact_totals, &fin.closed_sum);
+            add_into(&mut open_epoch_exact_totals, &fin.open);
+            add_into(&mut churn.lost_counts, &fin.lost);
             churn.events_lost += fin.events_lost;
             churn.site_downtime[fin.site_id] = fin.downtime;
         }
-        let mut exact_totals = open_epoch_exact_totals.clone();
-        for snap in &epoch_exact {
-            for (c, v) in snap.iter().enumerate() {
-                exact_totals[c] += v;
-            }
-        }
-        // Retain the same ring of epochs as the estimates; anything beyond
-        // the ring is *reported* as dropped, not silently truncated.
-        let drop_n = epoch_exact.len().saturating_sub(config.epoch_ring);
-        let epoch_exact_totals = epoch_exact.split_off(drop_n);
-        debug_assert_eq!(epoch_exact_totals.len(), out.closed_estimates.len());
+        add_into(&mut exact_totals, &open_epoch_exact_totals);
 
         Ok(ClusterReport {
             stats: out.stats,
@@ -2197,7 +2115,7 @@ where
             estimates: out.estimates,
             exact_totals,
             epochs: out.epochs,
-            dropped_epochs: drop_n as u64,
+            dropped_epochs: out.epochs - retained as u64,
             epoch_estimates: out.closed_estimates,
             epoch_exact_totals,
             open_epoch_exact_totals,
@@ -2268,7 +2186,6 @@ mod tests {
     ) -> ClusterReport
     where
         P: CounterProtocol + Sync,
-        P::Site: Send,
         F: Fn(&EventChunk, &mut Vec<u32>) + Sync,
         I: Iterator<Item = EventChunk>,
     {
@@ -2358,21 +2275,28 @@ mod tests {
 
     #[test]
     fn size_threshold_bounds_packet_growth() {
-        // A tiny flush threshold forces mid-chunk flushes: every packet
-        // stays small, and nothing is lost.
+        // A 4096-event chunk of 37-byte events is ~150 KB of `UpBatch`
+        // sections, over twice the flush threshold: the site flushes
+        // mid-chunk, every packet stays within one event of the threshold,
+        // and nothing is lost.
         let protocols = vec![ExactProtocol; 8];
-        let mut config = ClusterConfig::new(2, 5).with_chunk(256);
-        config.flush_bytes = 128;
-        let m = 2_000u64;
+        let (k, chunk) = (2usize, 4096usize);
+        let config = ClusterConfig::new(k, 5).with_chunk(chunk);
+        let m = 20_000u64;
         let events = (0..m).map(|_| vec![0usize]);
         let report = run_ok(&protocols, &config, chunk_events(events, 64), wide8);
         assert_eq!(report.exact_totals[0], m);
-        // 37 bytes per event, threshold 128: at most 4 events per packet.
+        assert_eq!(report.stats.bytes, m * 37);
+        let packets = report.stats.packets;
         assert!(
-            report.stats.packets * 4 >= m,
-            "packets {} too few for a 128-byte threshold",
-            report.stats.packets
+            packets * (FLUSH_BYTES as u64 + 37) >= report.stats.bytes,
+            "{packets} packets carry {} bytes: some packet outgrew the threshold",
+            report.stats.bytes
         );
+        // More packets than delivered chunks (at most one partial per
+        // site): the threshold, not the chunk boundary, cut them.
+        let chunks = (m as usize).div_ceil(chunk) + k;
+        assert!(packets as usize > chunks, "packets {packets} <= chunks {chunks}");
     }
 
     #[test]
@@ -2492,22 +2416,26 @@ mod tests {
 
     #[test]
     fn epoch_ring_caps_retained_epochs() {
-        let protocols = vec![ExactProtocol];
+        let protocols = vec![ExactProtocol, ExactProtocol];
         let config = ClusterConfig::new(2, 7).with_epochs(100, 2);
-        let events = (0..600u64).map(|_| vec![0usize]);
-        let report = run_ok(&protocols, &config, chunk_events(events, 4), all_zero);
-        assert_eq!(report.epochs, 6);
+        let events = (0..700u64).map(|i| vec![usize::from(i % 7 < 3)]);
+        let report = run_ok(&protocols, &config, chunk_events(events, 4), tiny_map);
+        assert_eq!(report.epochs, 7);
         // Only the last `ring` epochs are retained, estimates and oracle
-        // alike, and they stay aligned; the 4 that fell off the ring are
+        // alike, and they stay aligned; the 5 that fell off the ring are
         // *reported* dropped, never silently truncated.
-        assert_eq!(report.dropped_epochs, 4);
+        assert_eq!(report.dropped_epochs, 5);
         assert_eq!(report.epoch_estimates.len(), 2);
         assert_eq!(report.epoch_exact_totals.len(), 2);
         for (est, exact) in report.epoch_estimates.iter().zip(&report.epoch_exact_totals) {
-            assert_eq!(est[0], exact[0] as f64);
+            for (e, &t) in est.iter().zip(exact) {
+                assert_eq!(*e, t as f64);
+            }
         }
-        // Cumulative totals still cover all 6 epochs.
-        assert_eq!(report.exact_totals[0], 600);
+        // Cumulative totals still cover all 7 epochs — more than three
+        // rings' worth, so the sites' bounded oracles have long since
+        // dropped the early snapshots and only their running sum holds.
+        assert_eq!(report.exact_totals, vec![400, 300]);
     }
 
     #[test]
@@ -2785,25 +2713,7 @@ mod tests {
         let protocols = vec![ExactProtocol];
         let map = |_: &EventChunk, ids: &mut Vec<u32>| ids.clear();
         let (up_tx, up_rx) = unbounded::<UpPacket>();
-        let mut site = SiteWorker {
-            site_id: 0,
-            protocols: &protocols,
-            map_event: &map,
-            up_tx,
-            flush_bytes: 1024,
-            states: protocols.iter().map(|p| p.new_site()).collect(),
-            snaps: Vec::new(),
-            rng: SmallRng::seed_from_u64(1),
-            ids: Vec::new(),
-            batch: Vec::new(),
-            pkt: BytesMut::new(),
-            dying: false,
-            dead: false,
-            lost: vec![0; 1],
-            events_lost: 0,
-            down_since: None,
-            downtime: Duration::ZERO,
-        };
+        let mut site = SiteWorker::new(0, &protocols, &map, up_tx, 1, 8);
         let alive = site.handle_down(DownPacket::Data(Bytes::copy_from_slice(&[42])));
         assert!(!alive, "a faulted site must stop");
         match up_rx.try_recv().expect("fault must be forwarded up") {
@@ -2816,29 +2726,40 @@ mod tests {
     }
 
     #[test]
+    fn ingest_sweeps_a_prefix_and_writes_off_the_rest() {
+        // The same 7-event chunk taken dead (keep 0), dying (first half,
+        // flushes held) and live (all of it): per counter, what was swept
+        // into the local counts plus what went to the loss ledger is the
+        // chunk's tally, and only the held case leaves bytes unsent.
+        let protocols = vec![ExactProtocol; 2];
+        let mut chunk = EventChunk::new();
+        for i in 0..7usize {
+            chunk.push(&[i]);
+        }
+        let tally = [4u64, 3]; // tiny_map: even events hit counter 0
+        for (keep, hold) in [(0usize, false), (4, true), (7, false)] {
+            let (up_tx, up_rx) = unbounded::<UpPacket>();
+            let mut site = SiteWorker::new(0, &protocols, &tiny_map, up_tx, 1, 8);
+            assert!(site.ingest(&chunk, keep, hold));
+            assert_eq!(site.ledger.events_lost, (7 - keep) as u64, "keep {keep}");
+            assert_eq!(site.pkt.is_empty(), !hold, "keep {keep}");
+            assert_eq!(up_rx.try_recv().is_ok(), keep == 7, "keep {keep}");
+            assert!(up_rx.try_recv().is_err(), "keep {keep}: more than one packet");
+            let mut swept = [0u64; 2];
+            drain(&protocols, &mut site.states, |c, count| swept[c] = count);
+            assert_eq!(swept.iter().sum::<u64>(), keep as u64, "keep {keep}");
+            for c in 0..2 {
+                assert_eq!(swept[c] + site.ledger.lost[c], tally[c], "keep {keep} counter {c}");
+            }
+        }
+    }
+
+    #[test]
     fn transport_fault_on_the_down_link_is_forwarded_up() {
         let protocols = vec![ExactProtocol];
         let map = |_: &EventChunk, ids: &mut Vec<u32>| ids.clear();
         let (up_tx, up_rx) = unbounded::<UpPacket>();
-        let mut site = SiteWorker {
-            site_id: 0,
-            protocols: &protocols,
-            map_event: &map,
-            up_tx,
-            flush_bytes: 1024,
-            states: protocols.iter().map(|p| p.new_site()).collect(),
-            snaps: Vec::new(),
-            rng: SmallRng::seed_from_u64(1),
-            ids: Vec::new(),
-            batch: Vec::new(),
-            pkt: BytesMut::new(),
-            dying: false,
-            dead: false,
-            lost: vec![0; 1],
-            events_lost: 0,
-            down_since: None,
-            downtime: Duration::ZERO,
-        };
+        let mut site = SiteWorker::new(0, &protocols, &map, up_tx, 1, 8);
         let substrate = ClusterError::Transport("socket torn".into());
         assert!(!site.handle_down(DownPacket::Fault(substrate.clone())));
         match up_rx.try_recv().expect("fault must be forwarded up") {

@@ -9,8 +9,11 @@
 //!
 //! The UPDATE hot path is event-batched: [`CounterArray::observe_event`]
 //! takes all the counter ids one event triggers (the `2n` ids of
-//! Algorithm 2) and sweeps them in a single pass over the site's
-//! contiguous state slab, accounting the triggered up messages as one
+//! Algorithm 2) and sweeps them over the site's block of one contiguous
+//! state slab with [`dsbn_counters::protocol::sweep`] — the same kernel
+//! the cluster's site threads run (DESIGN.md §3.4), as
+//! [`dsbn_counters::protocol::drain`] is the one settle-and-reset pass of
+//! an epoch roll — accounting the triggered up messages as one
 //! bundled wire packet ([`dsbn_counters::wire::bundle_len`]) exactly as
 //! the cluster runtime ships them via
 //! [`dsbn_counters::wire::encode_event`]. Message *counts* keep the
@@ -19,7 +22,7 @@
 
 use crate::metrics::MessageStats;
 use dsbn_counters::msg::UpMsg;
-use dsbn_counters::protocol::CounterProtocol;
+use dsbn_counters::protocol::{drain, sweep, CounterProtocol};
 use rand::Rng;
 
 /// An array of independent distributed counters sharing `k` sites.
@@ -89,35 +92,39 @@ impl<P: CounterProtocol> CounterArray<P> {
 
     /// The event sweep proper — callers have already validated `ids`
     /// (per-event via [`Self::observe_event`], or once per chunk slab via
-    /// [`Self::observe_chunk`], which keeps the bounds check off the
-    /// big-network inner loop).
+    /// [`Self::observe_chunk`]). The touches run in the shared
+    /// [`sweep`] kernel over this site's block of the slab; it returns at
+    /// each touch that emits, because delivering the message needs *every*
+    /// site's block (a broadcast reaches them all), which the kernel's
+    /// borrow of one block rules out — so the cascade runs here, out of
+    /// line, and the sweep resumes after the hit.
     fn sweep_event<R: Rng + ?Sized>(&mut self, site: usize, ids: &[u32], rng: &mut R) {
         use dsbn_counters::wire::{bundle_len, frame_len, Frame};
         debug_assert!(site < self.k, "site {site} out of range");
         let n = self.protocols.len();
-        let base = site * n;
         // Batch framing decomposes per message class (`wire::bundle_len`),
         // so the bundled packet is accounted from three scalars with no
         // batch materialized.
         let mut n_inc = 0usize;
         let mut n_rep = 0usize;
         let mut rep_bytes = 0usize;
-        for &id in ids {
-            let c = id as usize;
-            debug_assert!(c < n);
-            if let Some(up) = self.protocols[c].increment(&mut self.sites[base + c], rng) {
-                self.stats.up_messages += 1;
-                if matches!(up, UpMsg::Increment) {
-                    n_inc += 1;
-                } else {
-                    n_rep += 1;
-                    rep_bytes += frame_len(&Frame::Up { counter: id, msg: up });
-                }
-                // Deliver the update — and any broadcast cascade —
-                // immediately, exactly as the per-increment path would:
-                // bundling is an accounting construct here, not a delay.
-                self.deliver_up(site, c, up, rng);
+        let mut rest = ids;
+        while let Some((pos, up)) =
+            sweep(&self.protocols, &mut self.sites[site * n..][..n], rest, rng)
+        {
+            let id = rest[pos];
+            rest = &rest[pos + 1..];
+            self.stats.up_messages += 1;
+            if matches!(up, UpMsg::Increment) {
+                n_inc += 1;
+            } else {
+                n_rep += 1;
+                rep_bytes += frame_len(&Frame::Up { counter: id, msg: up });
             }
+            // Deliver the update — and any broadcast cascade —
+            // immediately, exactly as the per-increment path would:
+            // bundling is an accounting construct here, not a delay.
+            self.deliver_up(site, id as usize, up, rng);
         }
         self.stats.bytes += bundle_len(n_inc, n_rep, rep_bytes) as u64;
     }
@@ -191,36 +198,28 @@ impl<P: CounterProtocol> CounterArray<P> {
     /// [`dsbn_counters::wire::Frame::EpochRoll`] broadcast down to each
     /// site, and from each site the *settlement* (one `Cumulative` frame
     /// per counter with a nonzero local count — the epoch's terminal sync)
-    /// followed by its `EpochAck`. The caller owns the ring (it snapshots
-    /// [`Self::exact_total`] *before* rolling; with synchronous delivery
-    /// the settled totals are exactly that). Message statistics are
-    /// cumulative across epochs; like the cluster's lifecycle envelopes,
-    /// roll control frames count bytes but are not counter-update
-    /// messages.
-    pub fn roll_epoch(&mut self, epoch: u32) {
-        use dsbn_counters::msg::UpMsg;
+    /// followed by its `EpochAck`. Returns the closed epoch's settled
+    /// per-counter totals — what those `Cumulative` frames sum to; the
+    /// caller owns the ring. Message statistics are cumulative across
+    /// epochs; like the cluster's lifecycle envelopes, roll control frames
+    /// count bytes but are not counter-update messages.
+    pub fn roll_epoch(&mut self, epoch: u32) -> Vec<u64> {
         use dsbn_counters::wire::{frame_len, Frame};
-        let cumulative =
-            |value: u64| frame_len(&Frame::Up { counter: 0, msg: UpMsg::Cumulative { value } });
-        let mut bytes = 0usize;
         let n = self.protocols.len();
+        let mut totals = vec![0u64; n];
+        let mut bytes = self.k
+            * (frame_len(&Frame::EpochRoll { epoch }) + frame_len(&Frame::EpochAck { epoch }));
         for s in 0..self.k {
-            bytes += frame_len(&Frame::EpochRoll { epoch }) + frame_len(&Frame::EpochAck { epoch });
-            for c in 0..n {
-                let local = self.protocols[c].site_local_count(&self.sites[s * n + c]);
-                if local > 0 {
-                    bytes += cumulative(local);
-                }
-            }
+            drain(&self.protocols, &mut self.sites[s * n..][..n], |c, value| {
+                totals[c] += value;
+                bytes += frame_len(&Frame::Up { counter: 0, msg: UpMsg::Cumulative { value } });
+            });
         }
         self.stats.bytes += bytes as u64;
-        self.sites.clear();
-        for _ in 0..self.k {
-            self.sites.extend(self.protocols.iter().map(|p| p.new_site()));
-        }
         for (c, p) in self.protocols.iter().enumerate() {
             self.coords[c] = p.new_coord(self.k);
         }
+        totals
     }
 
     /// Coordinator estimate for counter `c`.
@@ -373,7 +372,7 @@ mod tests {
             arr.observe_event(1, &[0, 1], &mut rng);
         }
         let before = arr.stats();
-        arr.roll_epoch(0);
+        assert_eq!(arr.roll_epoch(0), vec![10, 10]);
         // Fresh epoch: estimates and exact totals start over.
         assert_eq!(arr.estimate(0), 0.0);
         assert_eq!(arr.exact_total(1), 0);

@@ -31,12 +31,12 @@
 //! up   := kind u8
 //!   0 Updates      u32 len, len payload bytes (wire frames)
 //!   1 Control      u32 len, len payload bytes (wire frames)
-//!   2 RollRequest  (driver control plane; in-process in practice)
 //!   3 Done
 //!   4 FlushAck     u64 epoch
 //!   5 Fault        u32 len, len UTF-8 error description
 //!   6 Crashed      u32 len, len payload bytes (torn final packet)
-//!   7 Inject       u8 kill, u32 target site (driver control plane)
+//!   (2 and 7 are unassigned: roll requests and fault injections are the
+//!    driver's control plane and only ever ride its in-process sender)
 //! down := kind u8
 //!   0 Data         u32 len, len payload bytes (wire frames)
 //!   1 Flush        u64 epoch
@@ -184,8 +184,10 @@ pub enum UpPacket {
         partial: Bytes,
     },
     /// Fault-injection command from the stream driver (the only party that
-    /// sees the global event count): kill or revive `site`. Rides the
-    /// driver's in-process control plane in practice; encoded for totality.
+    /// sees the global event count): kill or revive `site`. Like
+    /// [`UpPacket::RollRequest`] it rides only the driver's in-process
+    /// [`Fabric::driver_up`]; no site link encodes or decodes either, so a
+    /// peer on a site's socket cannot kill a site or roll an epoch.
     Inject {
         /// Target site.
         site: usize,
@@ -359,7 +361,9 @@ impl UpSender for UdsUpSender {
                 out.push(1);
                 push_len_payload(&mut out, &payload);
             }
-            UpPacket::RollRequest => out.push(2),
+            // The driver's control plane has no envelope: a site link
+            // refuses to carry it.
+            UpPacket::RollRequest | UpPacket::Inject { .. } => return Err(LinkClosed),
             UpPacket::Done => out.push(3),
             UpPacket::FlushAck { epoch } => {
                 out.push(4);
@@ -372,11 +376,6 @@ impl UpSender for UdsUpSender {
             UpPacket::Crashed { partial, .. } => {
                 out.push(6);
                 push_len_payload(&mut out, &partial);
-            }
-            UpPacket::Inject { site, kill } => {
-                out.push(7);
-                out.push(kill as u8);
-                out.extend_from_slice(&(site as u32).to_le_bytes());
             }
         }
         write_all(&mut self.stream, &out)
@@ -469,7 +468,6 @@ fn read_up_envelope<R: Read>(r: &mut R, site: usize) -> Result<Envelope<UpPacket
     let pkt = match kind[0] {
         0 => UpPacket::Updates { site, payload: read_payload(r, "up updates envelope")? },
         1 => UpPacket::Control { site, payload: read_payload(r, "up control envelope")? },
-        2 => UpPacket::RollRequest,
         3 => UpPacket::Done,
         4 => UpPacket::FlushAck { epoch: read_u64(r, "up flush-ack envelope")? },
         5 => {
@@ -478,18 +476,6 @@ fn read_up_envelope<R: Read>(r: &mut R, site: usize) -> Result<Envelope<UpPacket
             UpPacket::Fault { site, error: ClusterError::Transport(msg) }
         }
         6 => UpPacket::Crashed { site, partial: read_payload(r, "up crashed envelope")? },
-        7 => {
-            // Inject targets a site; the target is data, not a sender
-            // identity, so it does travel in the envelope.
-            let mut b = [0u8; 5];
-            match read_exact_or_eof(r, &mut b) {
-                Ok(true) => {}
-                Ok(false) => return Err("up inject envelope: truncated".into()),
-                Err(e) => return Err(format!("up inject envelope: {e}")),
-            }
-            let target = u32::from_le_bytes([b[1], b[2], b[3], b[4]]) as usize;
-            UpPacket::Inject { site: target, kill: b[0] != 0 }
-        }
         other => return Err(format!("up envelope: unknown kind {other}")),
     };
     Ok(Envelope::Packet(pkt))
@@ -650,11 +636,9 @@ mod tests {
             })
             .unwrap();
         site_ups[1].send(UpPacket::Crashed { site: 1, partial: payload.clone() }).unwrap();
-        site_ups[1].send(UpPacket::Inject { site: 7, kill: true }).unwrap();
-        site_ups[1].send(UpPacket::Inject { site: 3, kill: false }).unwrap();
         // The merged inbox interleaves links arbitrarily; collect and sort.
         let mut got = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..6 {
             got.push(coord_rx.recv().unwrap());
         }
         let find = |pred: &dyn Fn(&UpPacket) -> bool| got.iter().any(pred);
@@ -669,12 +653,25 @@ mod tests {
         assert!(find(
             &|p| matches!(p, UpPacket::Fault { site: 0, error: ClusterError::Transport(m) } if m.contains("y"))
         ));
-        // Crashed is stamped with the *link's* id; Inject's site is data.
+        // Crashed is stamped with the *link's* id.
         assert!(find(
             &|p| matches!(p, UpPacket::Crashed { site: 1, partial } if partial[..] == [1, 2, 3])
         ));
-        assert!(find(&|p| matches!(p, UpPacket::Inject { site: 7, kill: true })));
-        assert!(find(&|p| matches!(p, UpPacket::Inject { site: 3, kill: false })));
+        // The driver's control plane never crosses a site link: the sender
+        // refuses it, and the old kinds 2 (RollRequest) and 7 (Inject)
+        // written raw are decode faults — a peer on site 1's socket cannot
+        // roll an epoch or kill site 0. A fault ends the link's pump, so
+        // each link takes one.
+        assert_eq!(site_ups[0].send(UpPacket::RollRequest), Err(LinkClosed));
+        assert_eq!(site_ups[1].send(UpPacket::Inject { site: 0, kill: true }), Err(LinkClosed));
+        site_ups[0].stream.write_all(&[2u8]).unwrap();
+        site_ups[1].stream.write_all(&[7u8, 1, 0, 0, 0, 0]).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                coord_rx.recv().unwrap(),
+                UpPacket::Fault { error: ClusterError::Transport(m), .. } if m.contains("unknown kind")
+            ));
+        }
 
         coord_downs[1].send(DownPacket::Data(payload.clone())).unwrap();
         coord_downs[1].send(DownPacket::Flush(9)).unwrap();
