@@ -1,8 +1,8 @@
 //! # dsbn-bench — experiment harness
 //!
 //! Shared machinery for the `exp_*` binaries that regenerate every table
-//! and figure of the paper (see DESIGN.md §4 for the per-experiment index
-//! and EXPERIMENTS.md for paper-vs-measured results):
+//! and figure of the paper (each binary's header names the table or
+//! figure it reproduces):
 //!
 //! - [`args`] — `--key value` CLI parsing.
 //! - [`output`] — CSV + markdown result tables under `results/`.
@@ -10,14 +10,14 @@
 //!   (error to truth, error to MLE, communication), cluster runs, and the
 //!   `--scale small|medium|paper` stream-size presets.
 //!
-//! Criterion microbenchmarks live in `benches/`.
+//! Speed is measured by the repo benchmark in `benchmark/`, not here.
 
 pub mod args;
 pub mod output;
 pub mod runner;
 
 pub use args::Args;
-pub use output::{json, LatencyRecorder, Table};
+pub use output::{json, Table};
 pub use runner::{
     checkpoints_for_scale, cluster_run, sweep_network, sweep_networks, CheckpointRecord,
     SweepConfig,

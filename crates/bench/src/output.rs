@@ -93,169 +93,6 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-/// Retained-sample cap for [`LatencyRecorder`]: small enough that a
-/// recorder per reader thread is cache-friendly, large enough that the
-/// nearest-rank p99 sits on ~82 samples even after heavy decimation.
-const RECORDER_CAP: usize = 8192;
-
-/// Fixed-footprint latency recorder shared by the `throughput` and
-/// `mixed_workload` binaries: exact count/min/max/mean over every
-/// observation plus a bounded, evenly-strided sample buffer for rank
-/// statistics (p50/p99), so per-query timing under load costs O(1)
-/// amortized and never grows with the run.
-///
-/// Sampling is deterministic stride decimation, not randomized reservoir
-/// sampling: when the buffer fills, every other retained sample is
-/// dropped and the keep-stride doubles. The retained samples stay an
-/// evenly spaced subsample of the observation sequence — honest rank
-/// estimates for the stationary-ish latency streams a bench produces,
-/// with zero RNG and no allocation in the measured path after the first
-/// `RECORDER_CAP` records.
-#[derive(Debug, Clone)]
-pub struct LatencyRecorder {
-    samples: Vec<f64>,
-    /// Keep every `stride`-th observation.
-    stride: u64,
-    /// Observations to skip before the next keep.
-    skip: u64,
-    count: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Default for LatencyRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyRecorder {
-    /// An empty recorder.
-    pub fn new() -> LatencyRecorder {
-        LatencyRecorder {
-            samples: Vec::new(),
-            stride: 1,
-            skip: 0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Record one observation (any unit; callers pick one and stick to it).
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        if self.skip > 0 {
-            self.skip -= 1;
-            return;
-        }
-        if self.samples.len() == RECORDER_CAP {
-            self.decimate();
-        }
-        self.samples.push(value);
-        self.skip = self.stride - 1;
-    }
-
-    /// Drop every other retained sample and double the keep-stride.
-    fn decimate(&mut self) {
-        let mut keep = 0;
-        for i in (0..self.samples.len()).step_by(2) {
-            self.samples[keep] = self.samples[i];
-            keep += 1;
-        }
-        self.samples.truncate(keep);
-        self.stride *= 2;
-    }
-
-    /// Total observations recorded (not the retained-sample count).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Smallest observation (`NaN` when empty). Exact, not sampled.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (`NaN` when empty). Exact, not sampled.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Mean over every observation (`NaN` when empty). Exact, not sampled.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Nearest-rank percentile over the retained samples (`q` in `[0,1]`;
-    /// `NaN` when empty). At `q = 0.5` this is the lower-middle median:
-    /// `idx = ceil(q·n) − 1`, so odd sample counts match the textbook
-    /// median exactly.
-    pub fn percentile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "percentile wants q in [0,1], got {q}");
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite latency sample"));
-        let n = sorted.len();
-        let idx = ((q * n as f64).ceil() as usize).saturating_sub(1).min(n - 1);
-        sorted[idx]
-    }
-
-    /// Fold another recorder in (per-thread recorders merged after a run).
-    /// Count/min/max/mean stay exact; percentiles become approximate when
-    /// the two strides differ (each retained sample should weigh by its
-    /// own stride, but under a shared workload the strides match and the
-    /// merge is a plain union).
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.samples.extend_from_slice(&other.samples);
-        self.stride = self.stride.max(other.stride);
-        while self.samples.len() > RECORDER_CAP {
-            self.decimate();
-        }
-    }
-
-    /// The standard summary object (`count`, `p50`, `p99`, `min`, `max`,
-    /// `mean`) in whatever unit was recorded; empty recorders render the
-    /// statistics as `null`.
-    pub fn to_json(&self) -> json::Json {
-        json::Json::obj()
-            .field("count", json::Json::UInt(self.count))
-            .field("p50", json::Json::Num(self.percentile(0.5)))
-            .field("p99", json::Json::Num(self.percentile(0.99)))
-            .field("min", json::Json::Num(self.min()))
-            .field("max", json::Json::Num(self.max()))
-            .field("mean", json::Json::Num(self.mean()))
-    }
-}
-
 /// Minimal JSON construction for machine-readable bench output (no JSON
 /// crate in the approved offline dependency set). Values are rendered
 /// strictly: non-finite floats become `null`, strings are escaped.
@@ -444,75 +281,6 @@ mod tests {
              \"rate\":1.5,\"nan_is_null\":null,\"inf_is_null\":null,\
              \"list\":[-1,true,null]}"
         );
-    }
-
-    #[test]
-    fn recorder_empty_is_nan() {
-        let r = LatencyRecorder::new();
-        assert!(r.is_empty());
-        assert_eq!(r.count(), 0);
-        assert!(r.percentile(0.5).is_nan());
-        assert!(r.min().is_nan() && r.max().is_nan() && r.mean().is_nan());
-        // Empty statistics render as null, never as a bare NaN token.
-        assert!(r.to_json().render().contains("\"p50\":null"));
-    }
-
-    #[test]
-    fn recorder_small_counts_match_the_textbook_median() {
-        let mut r = LatencyRecorder::new();
-        for v in [3.0, 1.0, 2.0] {
-            r.record(v);
-        }
-        // ceil(0.5 * 3) - 1 = 1: the middle of the sorted samples, exactly
-        // what `throughput`'s old `values[len / 2]` median picked at n = 3.
-        assert_eq!(r.percentile(0.5), 2.0);
-        assert_eq!(r.percentile(0.0), 1.0);
-        assert_eq!(r.percentile(1.0), 3.0);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 3.0);
-        assert_eq!(r.mean(), 2.0);
-        assert_eq!(r.count(), 3);
-    }
-
-    #[test]
-    fn recorder_decimates_to_a_bounded_buffer() {
-        let mut r = LatencyRecorder::new();
-        let n = 100_000u64;
-        for i in 0..n {
-            r.record(i as f64);
-        }
-        assert_eq!(r.count(), n);
-        assert!(r.samples.len() <= RECORDER_CAP, "buffer grew: {}", r.samples.len());
-        assert!(r.samples.len() > RECORDER_CAP / 4, "over-decimated: {}", r.samples.len());
-        // Exact statistics are unaffected by decimation.
-        assert_eq!(r.min(), 0.0);
-        assert_eq!(r.max(), (n - 1) as f64);
-        // The strided subsample keeps rank estimates within one stride or
-        // so of truth on a monotone stream.
-        let p50 = r.percentile(0.5);
-        assert!((p50 - n as f64 / 2.0).abs() < 100.0, "p50 drifted: {p50}");
-        let p99 = r.percentile(0.99);
-        assert!((p99 - 0.99 * n as f64).abs() < 100.0, "p99 drifted: {p99}");
-        assert!(r.percentile(0.5) <= r.percentile(0.99));
-    }
-
-    #[test]
-    fn recorder_merge_combines_exact_stats() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        for v in [1.0, 2.0] {
-            a.record(v);
-        }
-        for v in [10.0, 20.0] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 20.0);
-        assert_eq!(a.mean(), 8.25);
-        // ceil(0.5 * 4) - 1 = 1 over sorted [1, 2, 10, 20].
-        assert_eq!(a.percentile(0.5), 2.0);
     }
 
     #[test]

@@ -365,7 +365,7 @@ mod tests {
         let nonuniform = totals[3].1;
         // With strictly Lemma-4-faithful counters, per-counter budgets of
         // ~1e-3 leave many ALARM counters exact at 50K events; savings are
-        // modest here and grow with m (Fig. 6 / EXPERIMENTS.md). For n=37
+        // modest here and grow with m (Fig. 6, `exp_fig6`). For n=37
         // the BASELINE and UNIFORM budgets are within 15% of each other
         // (3n = 111 vs 16 sqrt(n) = 97), matching Table III's near-parity.
         assert!(baseline < exact, "baseline {baseline} vs exact {exact}");

@@ -211,6 +211,34 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_hub_keeps_counting_up() {
+        // Two runs on one hub, one server. The resolve cache is keyed by
+        // publish sequence, so a second run that restarted the sequence
+        // would end on a number the server has already cached and leave it
+        // serving the first run's model.
+        let net = sprinkler_network();
+        let hub = SnapshotHub::new();
+        let tc = TrackerConfig::new(Scheme::ExactMle)
+            .with_k(2)
+            .with_snapshot_every(500)
+            .with_publish(hub.clone());
+        let server = SnapshotServer::new(&net, tc.smoothing, hub.clone());
+        let run = |stream_seed| {
+            run_cluster_tracker(&net, &tc, TrainingStream::new(&net, stream_seed).take(2_000))
+                .expect("cluster run failed")
+                .model
+        };
+        let probe = [1usize, 0, 1, 1];
+        let first = run(5);
+        let seq_after_first = hub.seq();
+        assert_eq!(server.log_query(&probe).to_bits(), first.log_query(&probe).to_bits());
+        let second = run(77);
+        assert!(hub.seq() > seq_after_first, "sequence restarted: {}", hub.seq());
+        assert_ne!(first.log_query(&probe).to_bits(), second.log_query(&probe).to_bits());
+        assert_eq!(server.log_query(&probe).to_bits(), second.log_query(&probe).to_bits());
+    }
+
+    #[test]
     fn sim_tracker_snapshot_freezes_live_answers() {
         let net = sprinkler_network();
         let mut t = build_tracker(&net, &TrackerConfig::new(Scheme::NonUniform).with_k(4));

@@ -75,17 +75,6 @@ pub trait CounterProtocol {
     fn rejoin_site(&self, _coord: &mut Self::Coord, _site_id: usize) -> Option<DownMsg> {
         None
     }
-
-    /// Export the estimates of a homogeneous coordinator bank into a
-    /// caller-owned slab: `out[i] = estimate(&coords[i])`. One bounded pass
-    /// over contiguous state — the snapshot-minting fast path. The default
-    /// loops [`Self::estimate`]; overrides must stay bit-identical.
-    fn snapshot_into(&self, coords: &[Self::Coord], out: &mut [f64]) {
-        assert_eq!(coords.len(), out.len(), "snapshot slab length mismatch");
-        for (o, c) in out.iter_mut().zip(coords) {
-            *o = self.estimate(c);
-        }
-    }
 }
 
 /// Export the estimates of a per-counter protocol bank (one instance per
@@ -350,9 +339,5 @@ mod tests {
         for c in 0..5 {
             assert_eq!(out[c].to_bits(), protocols[c].estimate(&coords[c]).to_bits());
         }
-        // The homogeneous trait-method export agrees on a uniform bank.
-        let mut uniform = vec![0.0; 5];
-        protocols[0].snapshot_into(&coords, &mut uniform);
-        assert_eq!(uniform[0].to_bits(), protocols[0].estimate(&coords[0]).to_bits());
     }
 }

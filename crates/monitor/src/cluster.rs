@@ -770,8 +770,6 @@ struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     /// Events per epoch (0 when rolling is disabled); only used to stamp
     /// the approximate `events` field on mid-stream snapshots.
     boundary: u64,
-    /// Sequence number of the last minted snapshot.
-    snap_seq: u64,
     /// Per-site fault-injection lifecycle; all `Alive` on a clean run.
     status: Vec<SiteStatus>,
     /// Revive orders that arrived while the kill was still in flight
@@ -819,7 +817,6 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             downs_since_flush: 0,
             hub,
             boundary,
-            snap_seq: 0,
             status: vec![SiteStatus::Alive; k],
             pending_revive: vec![false; k],
             rounds: vec![(0, 1.0); protocols.len()],
@@ -941,10 +938,11 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     /// without a hub.
     fn publish_snapshot(&mut self, open: Vec<f64>) {
         let Some(hub) = &self.hub else { return };
-        self.snap_seq += 1;
         let epochs = self.roller.epochs_closed() as u64;
         hub.publish(CounterSnapshot {
-            seq: self.snap_seq,
+            // The hub's own next number, as `publish_final` takes it: a hub
+            // reused across runs never repeats one its readers have cached.
+            seq: hub.seq() + 1,
             events: epochs * self.boundary,
             epochs,
             finalized: false,
@@ -2001,55 +1999,62 @@ where
             driver_up.send(UpPacket::Inject { site, kill }).is_ok()
                 && (!kill || (ship(site, builder) && event_txs[site].send(SiteFeed::Kill).is_ok()))
         };
-        'stream: for chunk in events {
-            for ev in chunk.iter() {
-                let site = assigner.assign(&mut driver_rng);
-                builders[site].push_u32(ev);
-                n_events += 1;
-                if builders[site].len() >= config.chunk && !ship(site, &mut builders[site]) {
-                    break 'stream;
-                }
-                while next_inject < injections.len() && injections[next_inject].0 <= n_events {
-                    let (_, site, kill) = injections[next_inject];
-                    next_inject += 1;
-                    if !inject(site, kill, &mut builders[site]) {
+        // The stream loop runs caller code (`events.next()`), so it is
+        // guarded like every other role: a panic in it must still reach the
+        // link close below, or the scope waits forever on sites that wait
+        // on those links.
+        let driver_panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            'stream: for chunk in events {
+                for ev in chunk.iter() {
+                    let site = assigner.assign(&mut driver_rng);
+                    builders[site].push_u32(ev);
+                    n_events += 1;
+                    if builders[site].len() >= config.chunk && !ship(site, &mut builders[site]) {
                         break 'stream;
                     }
-                }
-                // The driver is the only party that sees the global event
-                // count, so it requests epoch rolls — after flushing every
-                // pending chunk, so all boundary events are on their way
-                // first. The roll broadcast may still overtake events
-                // queued on the (separate) event channels, so cluster
-                // epoch boundaries are approximate — within channel depth
-                // of `B` — while the per-epoch exact oracle stays exact
-                // (sites snapshot at their own roll).
-                if let Some(b) = config.epoch_boundary {
-                    if n_events.is_multiple_of(b) {
-                        for (site, builder) in builders.iter_mut().enumerate() {
-                            if !ship(site, builder) {
+                    while next_inject < injections.len() && injections[next_inject].0 <= n_events {
+                        let (_, site, kill) = injections[next_inject];
+                        next_inject += 1;
+                        if !inject(site, kill, &mut builders[site]) {
+                            break 'stream;
+                        }
+                    }
+                    // The driver is the only party that sees the global event
+                    // count, so it requests epoch rolls — after flushing every
+                    // pending chunk, so all boundary events are on their way
+                    // first. The roll broadcast may still overtake events
+                    // queued on the (separate) event channels, so cluster
+                    // epoch boundaries are approximate — within channel depth
+                    // of `B` — while the per-epoch exact oracle stays exact
+                    // (sites snapshot at their own roll).
+                    if let Some(b) = config.epoch_boundary {
+                        if n_events.is_multiple_of(b) {
+                            for (site, builder) in builders.iter_mut().enumerate() {
+                                if !ship(site, builder) {
+                                    break 'stream;
+                                }
+                            }
+                            if driver_up.send(UpPacket::RollRequest).is_err() {
                                 break 'stream;
                             }
-                        }
-                        if driver_up.send(UpPacket::RollRequest).is_err() {
-                            break 'stream;
                         }
                     }
                 }
             }
-        }
-        for (site, builder) in builders.iter_mut().enumerate() {
-            let _ = ship(site, builder);
-        }
-        // Injections scheduled past the stream's end still fire rather
-        // than silently vanishing when the stream is shorter than their
-        // thresholds; they precede the driver-channel close, keeping them
-        // in phase 1 — and a late kill's in-band marker precedes the
-        // event-channel close, so the site crashes at end-of-stream (with
-        // nothing buffered, an empty partial). Every scheduled kill lands.
-        for &(_, site, kill) in &injections[next_inject..] {
-            let _ = inject(site, kill, &mut builders[site]);
-        }
+            for (site, builder) in builders.iter_mut().enumerate() {
+                let _ = ship(site, builder);
+            }
+            // Injections scheduled past the stream's end still fire rather
+            // than silently vanishing when the stream is shorter than their
+            // thresholds; they precede the driver-channel close, keeping them
+            // in phase 1 — and a late kill's in-band marker precedes the
+            // event-channel close, so the site crashes at end-of-stream (with
+            // nothing buffered, an empty partial). Every scheduled kill lands.
+            for &(_, site, kill) in &injections[next_inject..] {
+                let _ = inject(site, kill, &mut builders[site]);
+            }
+        }))
+        .is_err();
         drop(driver_up);
         for tx in event_txs.drain(..) {
             drop(tx); // closes site event streams
@@ -2061,6 +2066,9 @@ where
         let out = coord_handle
             .join()
             .map_err(|_| ClusterError::WorkerPanicked { role: "coordinator".into() })??;
+        if driver_panicked {
+            return Err(ClusterError::WorkerPanicked { role: "driver".into() });
+        }
 
         // Reconstruct the exact oracles from what the sites counted: the
         // cumulative per-counter totals, the retained epochs' totals (from
@@ -2702,6 +2710,27 @@ mod tests {
             matches!(&err, ClusterError::Protocol { context: "cluster config", detail }
                 if detail.contains("site 9")),
             "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn driver_panic_is_a_typed_error_not_a_hang() {
+        // The event source is caller code that runs on the driver. When it
+        // panics mid-stream the run must still close its links and return a
+        // typed error. The run sits on a helper thread so that a hang fails
+        // this test at the timeout; the passing path never waits for it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut chunks = chunk_events((0..8u64).map(|_| vec![0usize]), 4);
+            let events =
+                std::iter::from_fn(move || Some(chunks.next().expect("injected source panic")));
+            let config = ClusterConfig::new(2, 1).with_chunk(4);
+            let _ = tx.send(run_cluster(&[ExactProtocol], &config, events, all_zero));
+        });
+        let result = rx.recv_timeout(Duration::from_secs(60)).expect("run hung");
+        assert!(
+            matches!(&result, Err(ClusterError::WorkerPanicked { role }) if role == "driver"),
+            "got {result:?}"
         );
     }
 

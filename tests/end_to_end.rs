@@ -129,7 +129,7 @@ fn statistical_error_decays_approximation_error_flat() {
 /// phase* (count > sqrt(k)/nu). We use a small unbalanced network (one
 /// variable inflated to 64 values) so that regime is reached quickly; on
 /// NEW-ALARM itself the crossover needs multi-million-event streams under
-/// strictly variance-faithful counters (see EXPERIMENTS.md).
+/// strictly variance-faithful counters (see `exp_new_alarm`).
 #[test]
 fn nonuniform_wins_on_unbalanced_domains() {
     use dsbn::bayes::generate::{inflate_domains, NetworkSpec};
