@@ -34,12 +34,6 @@ pub struct TrackerConfig {
     /// by the synchronous simulator, whose internal training chunks are
     /// bit-identical at any size. `1` is the per-event pipeline.
     pub chunk: usize,
-    /// Coordinator shard workers for the cluster runtime
-    /// (`dsbn_monitor::ClusterConfig::coord_workers`): `1` — the default —
-    /// applies every update on the coordinator thread; `> 1` spreads its
-    /// counter state over that many workers by layout-aligned ranges.
-    /// Ignored by the simulator; any setting is bit-identical.
-    pub coord_workers: usize,
     /// Snapshot publish hub for the cluster runtime: when set, the
     /// coordinator publishes epoch-consistent counter snapshots here at
     /// every settlement and the driver publishes the finalized state at
@@ -79,7 +73,6 @@ impl TrackerConfig {
             partitioner: Partitioner::UniformRandom,
             smoothing: Smoothing::default(),
             chunk: 256,
-            coord_workers: 1,
             publish: None,
             decay: EpochDecayConfig::disabled(),
             faults: Vec::new(),
@@ -119,16 +112,7 @@ impl TrackerConfig {
     /// Set the cluster ingest chunk size (events per channel send / packet
     /// flush; `1` is the per-event pipeline).
     pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk >= 1, "chunk must be >= 1");
         self.chunk = chunk;
-        self
-    }
-
-    /// Set the cluster coordinator's shard-worker count (`1` keeps all
-    /// counter state on the coordinator thread).
-    pub fn with_coord_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one coordinator worker");
-        self.coord_workers = workers;
         self
     }
 

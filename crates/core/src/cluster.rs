@@ -147,15 +147,13 @@ pub struct ClusterTrackerRun {
 /// the `2n` counter increments of Algorithm 2 executed on-site. A
 /// `faults` schedule injects seeded site crash/rejoin churn; the returned
 /// report's `churn` section accounts for every kill, revive, and lost
-/// event. With `config.coord_workers > 1` the coordinator spreads its
-/// counter state over that many workers by layout-aligned contiguous
-/// ranges ([`CounterLayout::shard_starts`]) — the same code on the same
-/// update sequence, so bit-identical results. A rolling `decay` settles
-/// an epoch every `boundary` events; each settlement is also a mid-stream
-/// snapshot mint when `publish` is set.
+/// event. A rolling `decay` settles an epoch every `boundary` events;
+/// each settlement is also a mid-stream snapshot mint when `publish` is
+/// set.
 ///
 /// Fails with a typed [`ClusterError`] (never a panic or a hung join) when
-/// a packet fails to decode or the transport errors.
+/// a packet fails to decode, the transport errors, or a `config` value is
+/// out of range (e.g. `chunk: 0`) — the last before any event is pulled.
 pub fn run_cluster_tracker<I>(
     net: &BayesianNetwork,
     config: &TrackerConfig,
@@ -172,12 +170,6 @@ where
     cluster.faults = config.faults.clone();
     if decay.rolls() {
         cluster = cluster.with_epochs(decay.boundary, decay.ring);
-    }
-    if config.coord_workers > 1 {
-        cluster = cluster.with_sharded_coordinator(
-            config.coord_workers,
-            Some(layout.shard_starts(config.coord_workers)),
-        );
     }
     if let Some(hub) = &config.publish {
         cluster = cluster.with_publish(hub.clone());
@@ -221,8 +213,10 @@ where
 {
     // Transport the per-event stream to the driver in chunk-sized groups;
     // the driver re-chunks per destination site, so `cluster.chunk` is
-    // what governs the wire behavior.
-    run_cluster(protocols, cluster, chunk_events(events, cluster.chunk), |chunk, ids| {
+    // what governs the wire behavior. `chunk_events` asserts its size, so
+    // a zero is clamped here and left for `run_cluster`'s config check to
+    // refuse — typed, and before it pulls the first group.
+    run_cluster(protocols, cluster, chunk_events(events, cluster.chunk.max(1)), |chunk, ids| {
         layout.map_chunk(chunk, ids)
     })
 }
@@ -287,6 +281,19 @@ mod tests {
             let gap = (run.model.log_query(&x) - run.model.exact_log_query(&x)).abs();
             assert!(gap < 3.0 * eps, "query band violated: {gap}");
         }
+    }
+
+    #[test]
+    fn zero_chunk_is_a_typed_config_error_before_any_event_is_pulled() {
+        let net = sprinkler_network();
+        let tc = TrackerConfig { chunk: 0, ..TrackerConfig::new(Scheme::ExactMle).with_k(2) };
+        let events = std::iter::from_fn(|| -> Option<Assignment> { panic!("event pulled") });
+        let err = run_cluster_tracker(&net, &tc, events).unwrap_err();
+        assert!(
+            matches!(&err, ClusterError::Protocol { context: "cluster config", detail }
+                if detail.contains("chunk")),
+            "got {err:?}"
+        );
     }
 
     #[test]

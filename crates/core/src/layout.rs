@@ -278,46 +278,6 @@ impl CounterLayout {
         }
     }
 
-    /// Range starts for sharding the counter space across `workers`
-    /// coordinator decode workers (`dsbn_monitor::ShardPlan::from_starts`
-    /// input): cut points land only on variable-block boundaries (the
-    /// start of a variable's family block), as close to the even split
-    /// `w * n / workers` as the blocks allow, so a shard always owns whole
-    /// variables — a query's family/parent counter pair never straddles
-    /// two workers. With more workers than variables the tail shards
-    /// degenerate to empty ranges (duplicate cut points), which is valid:
-    /// coverage of the counter space is exact either way, asserted below.
-    pub fn shard_starts(&self, workers: usize) -> Vec<u32> {
-        assert!(workers >= 1, "need at least one worker");
-        let n = self.n_counters;
-        let mut starts = Vec::with_capacity(workers);
-        starts.push(0u32);
-        for w in 1..workers {
-            let target = (w as u64 * n as u64 / workers as u64) as u32;
-            // Boundaries: each variable's family-block start, plus n.
-            let cut = self
-                .family_offset
-                .iter()
-                .copied()
-                .chain(std::iter::once(n))
-                .min_by_key(|&b| b.abs_diff(target))
-                .unwrap_or(n);
-            // Keep monotone: a tiny tail variable can pull the nearest
-            // boundary below the previous cut.
-            starts.push(cut.max(*starts.last().unwrap()));
-        }
-        // The implied plan covers the counter space exactly: half-open
-        // ranges [starts[w], starts[w+1]) with an implicit final end of n,
-        // starting at 0, monotone, every cut on a whole-variable boundary.
-        debug_assert!(starts[0] == 0, "plan must start at counter 0");
-        debug_assert!(starts.windows(2).all(|w| w[0] <= w[1]), "cuts not monotone: {starts:?}");
-        debug_assert!(
-            starts.iter().all(|&s| s == n || self.family_offset.binary_search(&s).is_ok()),
-            "cut off a variable-block boundary: {starts:?}"
-        );
-        starts
-    }
-
     /// Build the per-counter value vector `f(counter) -> value` from
     /// per-variable family/parent values, in layout order. Used to assign
     /// per-counter error budgets from an
@@ -471,71 +431,6 @@ mod tests {
             for i in 0..net.n_vars() {
                 assert_eq!(l.parent_config_of(i, &x), net.parent_config_of(i, &x));
             }
-        }
-    }
-
-    #[test]
-    fn shard_starts_cut_on_variable_blocks() {
-        let net = sprinkler_network();
-        let l = CounterLayout::new(&net);
-        // Sprinkler: n = 27, family blocks start at 0, 3, 9, 15.
-        let starts = l.shard_starts(4);
-        assert_eq!(starts[0], 0);
-        assert_eq!(starts.len(), 4);
-        let boundaries = [0u32, 3, 9, 15, 27];
-        for &s in &starts {
-            assert!(boundaries.contains(&s), "cut {s} not on a variable block");
-        }
-        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "not monotone: {starts:?}");
-        // One worker owns everything.
-        assert_eq!(l.shard_starts(1), vec![0]);
-        // More workers than variables: monotone, still valid cut points.
-        let many = l.shard_starts(9);
-        assert_eq!(many.len(), 9);
-        assert!(many.windows(2).all(|w| w[0] <= w[1]));
-        for &s in &many {
-            assert!(boundaries.contains(&s));
-        }
-    }
-
-    #[test]
-    fn shard_starts_at_scale_with_workers_near_and_above_n_vars() {
-        // 5000-variable layout, worker counts bracketing the variable
-        // count: cuts stay monotone, every cut is a whole-variable
-        // boundary, and the implied plan covers the counter space exactly
-        // even when the tail degenerates to empty one-variable shards.
-        let net = NetworkSpec::big(5000).generate(1).unwrap();
-        let l = CounterLayout::new(&net);
-        assert_eq!(l.n_vars(), 5000);
-        for workers in [4999usize, 5000, 5001, 6000, 8192] {
-            let starts = l.shard_starts(workers);
-            assert_eq!(starts.len(), workers);
-            let plan = dsbn_monitor::ShardPlan::from_starts(starts.clone(), l.n_counters())
-                .expect("starts must form a valid plan");
-            let covered: usize = (0..workers).map(|w| plan.range(w).len()).sum();
-            assert_eq!(covered, l.n_counters(), "workers={workers}");
-            if workers > l.n_vars() {
-                // More shards than variables forces degenerate (empty)
-                // shards — duplicate cut points.
-                assert!(
-                    starts.windows(2).any(|w| w[0] == w[1]),
-                    "workers={workers} should have empty shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_starts_feed_a_valid_plan() {
-        let net = NetworkSpec::alarm().generate(1).unwrap();
-        let l = CounterLayout::new(&net);
-        for workers in [1usize, 2, 4, 16] {
-            let starts = l.shard_starts(workers);
-            let plan = dsbn_monitor::ShardPlan::from_starts(starts, l.n_counters())
-                .expect("layout starts must form a valid plan");
-            assert_eq!(plan.workers(), workers);
-            let covered: usize = (0..workers).map(|w| plan.range(w).len()).sum();
-            assert_eq!(covered, l.n_counters());
         }
     }
 

@@ -274,17 +274,20 @@ mod tests {
 
     #[test]
     fn resolve_decayed_matches_epoch_ring_read() {
-        use dsbn_counters::epoch::EpochRing;
         let closed = vec![vec![100.0, 3.0], vec![10.0, 5.0]];
         let snap = snap_with(vec![1.0, 2.0], closed.clone(), 2);
         let lambda = 0.5;
         let cpt = CptSnapshot::resolve(&snap, 2, lambda);
         for c in 0..2 {
-            let mut ring = EpochRing::new(4);
-            for e in &closed {
-                ring.push(e[c]);
+            // The reference read: `open + Σ_a λ^a · closed[age a]`, the
+            // newest closed epoch at age 1.
+            let mut total = snap.open[c];
+            let mut weight = 1.0;
+            for e in closed.iter().rev() {
+                weight *= lambda;
+                total += weight * e[c];
             }
-            assert_eq!(cpt.reads[c].to_bits(), ring.decayed(snap.open[c], lambda).to_bits());
+            assert_eq!(cpt.reads[c].to_bits(), total.to_bits());
         }
         // Cumulative read covers settled mass beyond the ring too.
         let cum = CptSnapshot::resolve(&snap, 2, 1.0);

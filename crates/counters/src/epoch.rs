@@ -12,89 +12,14 @@
 //! decreasing count, and the only extra communication is one
 //! [`crate::wire::Frame::EpochRoll`] broadcast plus `k` acks per roll.
 //!
-//! Two pieces live here, shared by the synchronous simulator and the
-//! threaded cluster runtime in `dsbn-monitor`:
-//!
-//! - [`EpochRing`] — the per-counter ring of closed-epoch values with the
-//!   decayed-sum read.
-//! - [`EpochRoller`] — the coordinator-side roll state machine: which
-//!   sites have acknowledged the in-flight roll, and therefore whether an
-//!   arriving update still belongs to the closing epoch. It is what makes
-//!   the roll safe under asynchronous delivery (see the `is_stale`
-//!   invariant below and DESIGN.md §5).
-
-use std::collections::VecDeque;
-
-/// Ring of the last `K` closed-epoch values of one counter, newest last.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochRing {
-    cap: usize,
-    closed: VecDeque<f64>,
-}
-
-impl EpochRing {
-    /// Ring retaining the `cap` most recent closed epochs (`cap >= 1`).
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1, "epoch ring needs capacity >= 1");
-        EpochRing { cap, closed: VecDeque::with_capacity(cap) }
-    }
-
-    /// Capacity `K`.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of closed epochs currently retained (`<= cap`).
-    pub fn len(&self) -> usize {
-        self.closed.len()
-    }
-
-    /// Whether no epoch has been closed yet.
-    pub fn is_empty(&self) -> bool {
-        self.closed.is_empty()
-    }
-
-    /// Close an epoch with value `value`; the oldest retained epoch falls
-    /// off once the ring is full (its weight `lambda^K` is negligible for
-    /// any sensible `K`).
-    pub fn push(&mut self, value: f64) {
-        if self.closed.len() == self.cap {
-            self.closed.pop_front();
-        }
-        self.closed.push_back(value);
-    }
-
-    /// Closed values, oldest first.
-    pub fn closed(&self) -> impl Iterator<Item = f64> + '_ {
-        self.closed.iter().copied()
-    }
-
-    /// Export the closed-epoch values into a caller-owned slab, oldest
-    /// first — the snapshot-minting fast path: one bounded memcpy-shaped
-    /// pass, no iterator chasing, no allocation. `out` must be exactly
-    /// [`Self::len`] long.
-    pub fn snapshot_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.closed.len(), "snapshot slab length mismatch");
-        let (front, back) = self.closed.as_slices();
-        out[..front.len()].copy_from_slice(front);
-        out[front.len()..].copy_from_slice(back);
-    }
-
-    /// The decayed count: `current + sum_a lambda^a * closed[age a]`, where
-    /// the most recently closed epoch has age 1 and the open epoch
-    /// (contributing `current`) has age 0 / weight 1. With an empty ring
-    /// this returns `current` unchanged (bit-for-bit — the degenerate
-    /// no-roll configuration must be indistinguishable from no decay).
-    pub fn decayed(&self, current: f64, lambda: f64) -> f64 {
-        let mut total = current;
-        let mut weight = 1.0;
-        for value in self.closed.iter().rev() {
-            weight *= lambda;
-            total += weight * value;
-        }
-        total
-    }
-}
+//! The ring itself is held epoch-major by its owners (the tracker, the
+//! cluster coordinator, `CounterSnapshot`) and read through
+//! `dsbn_core::snapshot::epoch_read`. What lives here is [`EpochRoller`] —
+//! the coordinator-side roll state machine: which sites have acknowledged
+//! the in-flight roll, and therefore whether an arriving update still
+//! belongs to the closing epoch. It is what makes the roll safe under
+//! asynchronous delivery (see the `is_stale` invariant below and
+//! DESIGN.md §5).
 
 /// Coordinator-side epoch-roll state machine.
 ///
@@ -236,67 +161,6 @@ impl EpochRoller {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_decays_by_age() {
-        let mut r = EpochRing::new(4);
-        assert!(r.is_empty());
-        r.push(100.0); // oldest: age 2 at read time
-        r.push(10.0); // newest closed: age 1
-        let lambda = 0.5;
-        // current 1.0 + 0.5*10 + 0.25*100 = 31.
-        assert_eq!(r.decayed(1.0, lambda), 1.0 + 5.0 + 25.0);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn empty_ring_is_bitwise_identity() {
-        let r = EpochRing::new(1);
-        for v in [0.0, 1.5, f64::MAX, 3.141592653589793e-7] {
-            assert_eq!(r.decayed(v, 0.3).to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn ring_drops_oldest_beyond_cap() {
-        let mut r = EpochRing::new(2);
-        r.push(1.0);
-        r.push(2.0);
-        r.push(3.0);
-        assert_eq!(r.closed().collect::<Vec<_>>(), vec![2.0, 3.0]);
-        // lambda = 1: plain sum of retained epochs plus current.
-        assert_eq!(r.decayed(4.0, 1.0), 9.0);
-    }
-
-    #[test]
-    fn snapshot_into_exports_oldest_first() {
-        let mut r = EpochRing::new(3);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            r.push(v);
-        }
-        let mut out = vec![0.0; r.len()];
-        r.snapshot_into(&mut out);
-        assert_eq!(out, vec![2.0, 3.0, 4.0]);
-        assert_eq!(out, r.closed().collect::<Vec<_>>());
-        // Wrapped ring (pop_front happened), both VecDeque slices covered.
-        r.push(5.0);
-        r.snapshot_into(&mut out);
-        assert_eq!(out, vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "slab length mismatch")]
-    fn snapshot_into_checks_length() {
-        let mut r = EpochRing::new(2);
-        r.push(1.0);
-        r.snapshot_into(&mut [0.0; 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity >= 1")]
-    fn zero_cap_rejected() {
-        let _ = EpochRing::new(0);
-    }
 
     #[test]
     fn roller_handshake_and_staleness() {

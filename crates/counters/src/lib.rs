@@ -28,7 +28,7 @@ pub mod protocol;
 pub mod wire;
 
 pub use deterministic::DeterministicProtocol;
-pub use epoch::{EpochRing, EpochRoller};
+pub use epoch::EpochRoller;
 pub use exact::ExactProtocol;
 pub use hyz::HyzProtocol;
 pub use msg::{DownMsg, UpMsg};

@@ -7,7 +7,7 @@
 //! possibly out-of-order message delivery — exactly the conditions the
 //! round-tagged counter protocols are built for. See DESIGN.md for the
 //! thread/channel topology and shutdown protocol, and DESIGN.md §6 for the
-//! transport abstraction and the sharded coordinator.
+//! transport abstraction.
 //!
 //! Ingest is *chunked end to end* (DESIGN.md §2–§3): the driver re-chunks
 //! the incoming [`EventChunk`] stream into per-site chunks of
@@ -23,16 +23,10 @@
 //! arguments of DESIGN.md §3/§5 intact. `chunk = 1` — the default — is the
 //! per-event pipeline as a degenerate case.
 //!
-//! There is one coordinator (DESIGN.md §6.2): a control thread that keeps
-//! everything order-sensitive — accounting, broadcast fan-out, flush
-//! quiescence, epoch settlement — plus the per-counter open-epoch state,
-//! held in counter-range banks. With [`ClusterConfig::coord_workers`]
-//! `<= 1` one whole-range bank is applied on the control thread itself;
-//! with K > 1, K shard workers each own a contiguous range
-//! ([`crate::shard::ShardPlan`]) and apply the updates in it, fed in
-//! transport order through FIFO queues. The bank code and the per-counter
-//! update sequence are the same either way, so the two are bit-identical
-//! on estimates, exact totals, logical message counts, and bytes.
+//! There is one coordinator thread (DESIGN.md §6.2), as in the paper's
+//! deployment: it keeps everything order-sensitive — accounting, broadcast
+//! fan-out, flush quiescence, epoch settlement — and applies every update
+//! to the per-counter open-epoch state itself, in transport arrival order.
 //!
 //! [`MessageStats::bytes`] measures frame bytes that actually crossed a
 //! link; `MessageStats::packets` counts the physical bundled sends (so
@@ -60,7 +54,6 @@
 
 use crate::metrics::MessageStats;
 use crate::partition::{Partitioner, SiteAssigner};
-use crate::shard::ShardPlan;
 use crate::snapshot::{CounterSnapshot, SnapshotHub};
 use crate::transport::{
     ChannelTransport, ClusterError, DownPacket, DownSender, Fabric, Transport, UpPacket, UpSender,
@@ -75,7 +68,6 @@ use dsbn_datagen::EventChunk;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// One injected site fault (fail-stop model, DESIGN.md §8): the stream
@@ -200,17 +192,6 @@ pub struct ClusterConfig {
     /// Closed epochs retained at the coordinator (ring capacity `K`).
     /// Ignored unless `epoch_boundary` is set.
     pub epoch_ring: usize,
-    /// Coordinator shard workers (DESIGN.md §6.2). `<= 1` — the default —
-    /// applies every update on the coordinator thread itself; `K > 1`
-    /// spreads the counter state over K worker threads, each owning a
-    /// contiguous counter range, with bit-identical estimates, exact
-    /// totals, logical message counts, and bytes.
-    pub coord_workers: usize,
-    /// Explicit shard range starts, e.g. aligned to a `CounterLayout`'s
-    /// per-variable blocks (`starts[w]` is the first counter id worker `w`
-    /// owns; must start at 0, be monotone, and have one entry per worker).
-    /// `None` — the default — splits the id space evenly.
-    pub shard_starts: Option<Vec<u32>>,
     /// Snapshot publish hub (DESIGN.md §7). When set, the coordinator
     /// mints a [`CounterSnapshot`] at every epoch settlement (so enable
     /// epoch rolling to get mid-stream snapshots) and the driver publishes
@@ -225,7 +206,7 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Paper defaults: uniform random routing, per-event chunks, no epoch
-    /// rolling, no coordinator shard workers.
+    /// rolling.
     pub fn new(k: usize, seed: u64) -> Self {
         ClusterConfig {
             k,
@@ -234,8 +215,6 @@ impl ClusterConfig {
             chunk: 1,
             epoch_boundary: None,
             epoch_ring: 8,
-            coord_workers: 1,
-            shard_starts: None,
             publish: None,
             faults: Vec::new(),
         }
@@ -244,7 +223,6 @@ impl ClusterConfig {
     /// Batch `chunk` events per driver → site send (and per site packet
     /// flush).
     pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk >= 1, "chunk must be >= 1");
         self.chunk = chunk;
         self
     }
@@ -252,29 +230,8 @@ impl ClusterConfig {
     /// Enable epoch rolling every `boundary` events with a `ring`-deep
     /// closed-epoch ring.
     pub fn with_epochs(mut self, boundary: u64, ring: usize) -> Self {
-        assert!(boundary >= 1, "epoch boundary must be >= 1");
-        assert!(ring >= 1, "epoch ring must be >= 1");
         self.epoch_boundary = Some(boundary);
         self.epoch_ring = ring;
-        self
-    }
-
-    /// Shard coordinator state across `workers` workers with an even
-    /// counter split; `workers <= 1` keeps it on the coordinator thread.
-    pub fn with_coord_workers(self, workers: usize) -> Self {
-        self.with_sharded_coordinator(workers.max(1), None)
-    }
-
-    /// [`Self::with_coord_workers`] with optional explicit range starts
-    /// (e.g. `CounterLayout::shard_starts`).
-    pub fn with_sharded_coordinator(
-        mut self,
-        workers: usize,
-        shard_starts: Option<Vec<u32>>,
-    ) -> Self {
-        assert!(workers >= 1, "need at least one coordinator worker");
-        self.coord_workers = workers;
-        self.shard_starts = shard_starts;
         self
     }
 
@@ -744,7 +701,7 @@ enum SiteStatus {
 /// closed-epoch settlement ring, the down links, and all accounting.
 /// Everything that must observe packets in transport arrival order lives
 /// here; only per-counter protocol state (decode + `handle_up`) is
-/// delegated to the [`Bank`]s.
+/// delegated to the [`Bank`].
 struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     protocols: &'a [P],
     k: usize,
@@ -932,7 +889,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     }
 
     /// Mint and publish a [`CounterSnapshot`] from the open-epoch
-    /// estimates `open` (exported from the banks) plus the core's settled
+    /// estimates `open` (exported from the bank) plus the core's settled
     /// accumulators. Called only at epoch settlements — the one mid-stream
     /// moment the state is Definition-2-consistent (DESIGN.md §7). No-op
     /// without a hub.
@@ -1125,20 +1082,16 @@ struct CoordOut {
     partial_bytes_discarded: u64,
 }
 
-/// The open-epoch `P::Coord` state of the contiguous counter range `range`
-/// — the one place update packets are validated and applied. A [`Coord`]
-/// either calls one whole-range bank directly on the control thread or
-/// feeds K of them, one per shard worker, through FIFO queues: the same
-/// code sees the same per-counter update sequence either way, which is why
-/// the two are bit-identical by construction (DESIGN.md §6.2).
+/// The open-epoch `P::Coord` state of every counter — the one place update
+/// packets are validated and applied, called by the [`Coord`] directly on
+/// the coordinator thread.
 struct Bank<'a, P: CounterProtocol> {
     protocols: &'a [P],
     k: usize,
-    range: Range<usize>,
-    /// `coords[i]` is counter `range.start + i`.
+    /// `coords[c]` is counter `c`.
     coords: Vec<P::Coord>,
-    /// Paper-accounting share: updates in `range` seen so far (counted
-    /// even when stale-dropped).
+    /// Paper accounting: updates seen so far (counted even when
+    /// stale-dropped).
     up_messages: u64,
     /// Crashed-site roster, re-forgotten at every roll (fresh state
     /// assumes all k sites contribute).
@@ -1146,9 +1099,9 @@ struct Bank<'a, P: CounterProtocol> {
 }
 
 impl<'a, P: CounterProtocol> Bank<'a, P> {
-    fn new(protocols: &'a [P], k: usize, range: Range<usize>) -> Self {
-        let coords = protocols[range.clone()].iter().map(|p| p.new_coord(k)).collect();
-        Bank { protocols, k, range, coords, up_messages: 0, dead: vec![false; k] }
+    fn new(protocols: &'a [P], k: usize) -> Self {
+        let coords = protocols.iter().map(|p| p.new_coord(k)).collect();
+        Bank { protocols, k, coords, up_messages: 0, dead: vec![false; k] }
     }
 
     /// One multi-event update packet from `site`, decoded in a single
@@ -1177,20 +1130,18 @@ impl<'a, P: CounterProtocol> Bank<'a, P> {
             let detail = match item {
                 WireItem::Up { counter, msg } => {
                     let c = counter as usize;
-                    if self.range.contains(&c) {
+                    if c < self.coords.len() {
                         self.up_messages += 1;
                         if !stale {
-                            let coord = &mut self.coords[c - self.range.start];
-                            if let Some(down) = self.protocols[c].handle_up(coord, site, msg) {
+                            if let Some(down) =
+                                self.protocols[c].handle_up(&mut self.coords[c], site, msg)
+                            {
                                 emit(counter, down);
                             }
                         }
                         return;
                     }
-                    if c < self.protocols.len() {
-                        return; // another bank's counter
-                    }
-                    format!("counter {counter} out of range ({} counters)", self.protocols.len())
+                    format!("counter {counter} out of range ({} counters)", self.coords.len())
                 }
                 WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
                     format!("down frame from site {site} on the up path")
@@ -1211,7 +1162,7 @@ impl<'a, P: CounterProtocol> Bank<'a, P> {
     /// incoming settlements) and re-forget the dead roster. Fresh state has
     /// no sync or report in flight, so the forget can never broadcast.
     fn roll(&mut self) {
-        for (coord, p) in self.coords.iter_mut().zip(&self.protocols[self.range.clone()]) {
+        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
             *coord = p.new_coord(self.k);
         }
         for site in 0..self.k {
@@ -1226,8 +1177,8 @@ impl<'a, P: CounterProtocol> Bank<'a, P> {
     /// holdout of) goes to `emit`.
     fn crashed(&mut self, site: usize, mut emit: impl FnMut(u32, DownMsg)) {
         self.dead[site] = true;
-        for (i, c) in self.range.clone().enumerate() {
-            if let Some(down) = self.protocols[c].site_crashed(&mut self.coords[i], site) {
+        for (c, (coord, p)) in self.coords.iter_mut().zip(self.protocols).enumerate() {
+            if let Some(down) = p.site_crashed(coord, site) {
                 emit(c as u32, down);
             }
         }
@@ -1238,222 +1189,40 @@ impl<'a, P: CounterProtocol> Bank<'a, P> {
     /// already carries to the one site that needs it.
     fn rejoined(&mut self, site: usize) {
         self.dead[site] = false;
-        for (i, c) in self.range.clone().enumerate() {
-            let _ = self.protocols[c].rejoin_site(&mut self.coords[i], site);
+        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
+            let _ = p.rejoin_site(coord, site);
         }
     }
 
-    fn estimates_into(&self, out: &mut [f64]) {
-        dsbn_counters::protocol::snapshot_into(
-            &self.protocols[self.range.clone()],
-            &self.coords,
-            out,
-        );
+    /// The open-epoch estimate of every counter, in id order.
+    fn estimates(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.coords.len()];
+        dsbn_counters::protocol::snapshot_into(self.protocols, &self.coords, &mut out);
+        out
     }
-}
-
-/// Capacity of each control-thread → shard-worker queue. Deliberately
-/// shallow: the control thread is a fast forwarder, and any depth here
-/// decouples the sites' round feedback (broadcast replies) from the stream
-/// — a deep queue lets sites run arbitrarily far ahead at a stale sampling
-/// probability, inflating the paper's message counts. A short bounded queue
-/// makes the control thread block on lagging workers, which backpressures
-/// the merged inbox and so the sites, restoring the one-thread coupling.
-/// (Workers never block on their reply channel, so this cannot deadlock.)
-const WORKER_QUEUE: usize = 16;
-
-/// Control thread → shard worker traffic: every [`Bank`] call, as a mark
-/// in the worker's FIFO queue at exactly the point in the packet sequence
-/// where the control thread would have made it. Every worker receives
-/// every update packet (decode is shared, application is sharded — the
-/// payload is an `Arc`'d [`Bytes`], so the fan-out clones are O(1)).
-#[derive(Clone)]
-enum WorkerMsg {
-    /// [`Bank::apply`]. `stale` is computed once per packet on the control
-    /// thread: the roller only moves on control packets, which are strictly
-    /// ordered against update packets in the merged inbox.
-    Updates { site: usize, payload: Bytes, stale: bool },
-    /// [`Bank::roll`].
-    Roll,
-    /// [`Bank::crashed`].
-    Crashed { site: usize },
-    /// [`Bank::rejoined`].
-    Rejoined { site: usize },
-    /// Quiescence handshake: reply [`WorkerReply::BarrierAck`].
-    Barrier,
-    /// [`Bank::estimates_into`]: reply [`WorkerReply::Estimates`].
-    Snapshot,
-}
-
-/// Shard worker → control thread replies (one shared unbounded channel, so
-/// workers never block and the control thread can always drain).
-#[derive(Debug)]
-enum WorkerReply {
-    /// The bank emitted a broadcast; the control thread issues it
-    /// (accounting + fan-out stay in transport order on one thread).
-    /// `rolls` is the number of `Roll` marks the bank had applied: a reply
-    /// with fewer than the control thread has sent belongs to a closing
-    /// epoch and must not follow that epoch's `EpochRoll` down the links.
-    Broadcast { counter: u32, msg: DownMsg, rolls: u32 },
-    /// All messages before the barrier have been applied.
-    BarrierAck,
-    /// This shard's open-epoch estimates and cumulative `up_messages` at a
-    /// `Snapshot` mark.
-    Estimates { worker: usize, estimates: Vec<f64>, up_messages: u64 },
-    /// This worker hit a decode/protocol error; the run must abort.
-    Fault(ClusterError),
-}
-
-/// One shard worker: applies its queue's marks to its bank, in order, until
-/// the control thread drops the queue.
-fn run_worker<P: CounterProtocol>(
-    mut bank: Bank<'_, P>,
-    worker: usize,
-    rx: Receiver<WorkerMsg>,
-    reply_tx: &Sender<WorkerReply>,
-) {
-    let mut rolls = 0u32;
-    // After a fault the worker keeps draining its queue and answering
-    // marks, so the control thread can never block on a full queue or an
-    // unanswered mark (it sees the `Fault` first on the per-producer-FIFO
-    // reply channel and aborts), but applies nothing further.
-    let mut poisoned = false;
-    while let Ok(msg) = rx.recv() {
-        let emit = move |counter, msg| {
-            let _ = reply_tx.send(WorkerReply::Broadcast { counter, msg, rolls });
-        };
-        match msg {
-            WorkerMsg::Barrier => {
-                let _ = reply_tx.send(WorkerReply::BarrierAck);
-            }
-            WorkerMsg::Snapshot => {
-                let mut estimates = vec![0.0; bank.range.len()];
-                bank.estimates_into(&mut estimates);
-                let up_messages = bank.up_messages;
-                let _ = reply_tx.send(WorkerReply::Estimates { worker, estimates, up_messages });
-            }
-            _ if poisoned => {}
-            WorkerMsg::Updates { site, payload, stale } => {
-                if let Err(e) = bank.apply(site, payload, stale, emit) {
-                    let _ = reply_tx.send(WorkerReply::Fault(e));
-                    poisoned = true;
-                }
-            }
-            WorkerMsg::Roll => {
-                bank.roll();
-                rolls += 1;
-            }
-            WorkerMsg::Crashed { site } => bank.crashed(site, emit),
-            WorkerMsg::Rejoined { site } => bank.rejoined(site),
-        }
-    }
-}
-
-/// The control thread's ends of the K shard-worker queues.
-struct WorkerLinks {
-    plan: ShardPlan,
-    txs: Vec<Sender<WorkerMsg>>,
-    reply_rx: Receiver<WorkerReply>,
-    /// `Roll` marks sent so far (see [`WorkerReply::Broadcast`]).
-    rolls: u32,
-}
-
-impl WorkerLinks {
-    fn send_all(&self, msg: WorkerMsg) {
-        for tx in &self.txs {
-            let _ = tx.send(msg.clone());
-        }
-    }
-
-    /// Every worker hung up its reply sender while the run was live.
-    fn gone<E>(_: E) -> ClusterError {
-        ClusterError::Transport("coordinator worker disconnected mid-run".into())
-    }
-
-    /// Handle a reply that answers no outstanding mark. A broadcast of the
-    /// open epoch is issued; one of a closing epoch is dropped like that
-    /// epoch's stale updates (the settlement supersedes it, and the `Roll`
-    /// mark queued behind it resets the state that emitted it) — issuing
-    /// it would land on the sites' fresh state and wedge the counter's
-    /// next sync.
-    fn on_reply<P: CounterProtocol, D: DownSender>(
-        &self,
-        core: &mut CtlCore<'_, P, D>,
-        reply: WorkerReply,
-    ) -> Result<(), ClusterError> {
-        match reply {
-            WorkerReply::Broadcast { counter, msg, rolls } => {
-                if rolls == self.rolls {
-                    core.issue_broadcast(counter, msg);
-                }
-                Ok(())
-            }
-            WorkerReply::Fault(e) => Err(e),
-            other => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: format!("unexpected worker reply {other:?}"),
-            }),
-        }
-    }
-
-    /// Put `mark` in every worker's queue and serve replies until every
-    /// worker has answered it (`answer` returns `None` for a reply it
-    /// consumed). Per-producer FIFO puts each worker's pending broadcasts
-    /// ahead of its answer, so when this returns everything forwarded
-    /// before the mark has been applied and its broadcasts issued. Workers
-    /// never block on the unbounded reply channel, so the wait cannot
-    /// deadlock.
-    fn ask_all<P: CounterProtocol, D: DownSender>(
-        &self,
-        core: &mut CtlCore<'_, P, D>,
-        mark: WorkerMsg,
-        mut answer: impl FnMut(WorkerReply) -> Option<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        self.send_all(mark);
-        let mut answered = 0usize;
-        while answered < self.txs.len() {
-            match answer(self.reply_rx.recv().map_err(Self::gone)?) {
-                None => answered += 1,
-                Some(other) => self.on_reply(core, other)?,
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Where the open-epoch counter state lives.
-enum Banks<'a, P: CounterProtocol> {
-    /// `coord_workers <= 1`: one whole-range bank, called directly on the
-    /// control thread; broadcasts are issued synchronously.
-    Local(Bank<'a, P>),
-    /// K banks on K shard workers, reached through their queues.
-    Workers(WorkerLinks),
 }
 
 /// The coordinator: the control core plus the counter state it drives.
-/// Packets are handled (or forwarded to every worker) in transport arrival
-/// order, and broadcasts are issued here, on the one thread that owns the
-/// down links.
+/// Packets are handled in transport arrival order, and broadcasts are
+/// issued here, on the one thread that owns the down links — inside
+/// [`Bank::apply`], so none can follow its epoch's `EpochRoll` down them.
 struct Coord<'a, P: CounterProtocol, D: DownSender> {
     core: CtlCore<'a, P, D>,
-    banks: Banks<'a, P>,
+    bank: Bank<'a, P>,
     /// Arrival of the first and the last update packet.
     busy: Option<(Instant, Instant)>,
 }
 
 impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
-    fn new(core: CtlCore<'a, P, D>, links: Option<WorkerLinks>) -> Self {
-        let banks = match links {
-            Some(links) => Banks::Workers(links),
-            None => Banks::Local(Bank::new(core.protocols, core.k, 0..core.protocols.len())),
-        };
-        Coord { core, banks, busy: None }
+    fn new(core: CtlCore<'a, P, D>) -> Self {
+        let bank = Bank::new(core.protocols, core.k);
+        Coord { core, bank, busy: None }
     }
 
     fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
         let now = Instant::now();
         self.busy = Some((self.busy.map_or(now, |(first, _)| first), now));
-        let Coord { core, banks, .. } = self;
+        let Coord { core, bank, .. } = self;
         if site >= core.k {
             return Err(ClusterError::Protocol {
                 context: "up packet",
@@ -1462,64 +1231,27 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
         }
         core.stats.packets += 1;
         core.stats.bytes += payload.len() as u64;
+        // The roller only moves on control packets, so staleness is a
+        // property of the whole packet.
         let stale = core.roller.is_stale(site);
-        match banks {
-            Banks::Local(bank) => {
-                bank.apply(site, payload, stale, |c, down| core.issue_broadcast(c, down))
-            }
-            Banks::Workers(links) => {
-                links.send_all(WorkerMsg::Updates { site, payload, stale });
-                Ok(())
-            }
-        }
-    }
-
-    /// The open-epoch estimate of every counter, in id order, and the
-    /// banks' `up_messages` total.
-    fn read_banks(&mut self) -> Result<(Vec<f64>, u64), ClusterError> {
-        let Coord { core, banks, .. } = self;
-        let mut open = vec![0.0; core.protocols.len()];
-        let mut ups = 0u64;
-        match banks {
-            Banks::Local(bank) => {
-                bank.estimates_into(&mut open);
-                ups = bank.up_messages;
-            }
-            Banks::Workers(links) => links.ask_all(core, WorkerMsg::Snapshot, |reply| {
-                let WorkerReply::Estimates { worker, estimates, up_messages } = reply else {
-                    return Some(reply);
-                };
-                open[links.plan.range(worker)].copy_from_slice(&estimates);
-                ups += up_messages;
-                None
-            })?,
-        }
-        Ok((open, ups))
+        bank.apply(site, payload, stale, |c, down| core.issue_broadcast(c, down))
     }
 
     /// Mint and publish a snapshot of the current state (no-op without a
     /// hub). Callers mint at a settlement *before* any queued roll resets
-    /// the banks — the open estimates still belong to the epoch the
+    /// the bank — the open estimates still belong to the epoch the
     /// snapshot's readers will see as open — and before a crash is
     /// forgotten (DESIGN.md §7.2, §8.2).
-    fn mint(&mut self) -> Result<(), ClusterError> {
+    fn mint(&mut self) {
         if self.core.hub.is_some() {
-            let (open, _) = self.read_banks()?;
-            self.core.publish_snapshot(open);
+            self.core.publish_snapshot(self.bank.estimates());
         }
-        Ok(())
     }
 
-    /// Begin closing `epoch`: reset the banks at exactly this point in the
+    /// Begin closing `epoch`: reset the bank at exactly this point in the
     /// packet sequence, then broadcast `EpochRoll`.
     fn start_roll(&mut self, epoch: u32) {
-        match &mut self.banks {
-            Banks::Local(bank) => bank.roll(),
-            Banks::Workers(links) => {
-                links.send_all(WorkerMsg::Roll);
-                links.rolls += 1;
-            }
-        }
+        self.bank.roll();
         self.core.reset_rounds();
         self.core.broadcast_roll(epoch);
     }
@@ -1527,27 +1259,25 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
     /// The driver crossed an epoch boundary: start closing the epoch now,
     /// unless a roll is already in flight (the request queues inside the
     /// roller).
-    fn request_roll(&mut self) -> Result<(), ClusterError> {
+    fn request_roll(&mut self) {
         if let Some(epoch) = self.core.roller.request() {
             self.start_roll(epoch);
-            self.settle_instant_rolls()?;
+            self.settle_instant_rolls();
         }
-        Ok(())
     }
 
     /// A roll whose every non-dead site has already acked — which happens
     /// the moment it starts when *all* sites are dead (the roller pre-fills
     /// the dead roster) — settles immediately, exactly as a final ack
     /// would have; chained for queued requests.
-    fn settle_instant_rolls(&mut self) -> Result<(), ClusterError> {
+    fn settle_instant_rolls(&mut self) {
         while self.core.roller.rolling() && self.core.roller.all_acked() {
-            self.mint()?;
+            self.mint();
             match self.core.close_epoch() {
                 Some(next) => self.start_roll(next),
                 None => break,
             }
         }
-        Ok(())
     }
 
     /// A site's terminal `Crashed` marker: complete any roll it was the
@@ -1558,79 +1288,37 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
     /// the kill was still in flight.
     fn handle_crashed(&mut self, site: usize, partial: Bytes) -> Result<(), ClusterError> {
         if self.core.record_crash(site, &partial)? {
-            self.mint()?;
+            self.mint();
             if let Some(next) = self.core.close_epoch() {
                 self.start_roll(next);
             }
-            self.settle_instant_rolls()?;
+            self.settle_instant_rolls();
         }
-        let Coord { core, banks, .. } = self;
-        match banks {
-            Banks::Local(bank) => bank.crashed(site, |c, down| core.issue_broadcast(c, down)),
-            Banks::Workers(links) => links.send_all(WorkerMsg::Crashed { site }),
-        }
+        let Coord { core, bank, .. } = self;
+        bank.crashed(site, |c, down| core.issue_broadcast(c, down));
         if self.core.pending_revive[site] {
             self.rejoin(site);
         }
         Ok(())
     }
 
-    /// Re-admit a dead site in the banks, then send the revive order (with
+    /// Re-admit a dead site in the bank, then send the revive order (with
     /// its mid-round catch-up) down the site's link.
     fn rejoin(&mut self, site: usize) {
-        match &mut self.banks {
-            Banks::Local(bank) => bank.rejoined(site),
-            Banks::Workers(links) => links.send_all(WorkerMsg::Rejoined { site }),
-        }
+        self.bank.rejoined(site);
         self.core.send_revive(site);
     }
 
     fn handle_control(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
         let outcome = self.core.handle_control(site, payload)?;
         if outcome.closed > 0 {
-            self.mint()?;
+            self.mint();
         }
         for epoch in outcome.rolls {
             self.start_roll(epoch);
         }
-        self.settle_instant_rolls()
-    }
-
-    /// The next packet of the merged inbox (`None` once every sender is
-    /// gone). With the bank local this is a plain blocking receive; with
-    /// workers, their replies are served first: pending broadcasts must be
-    /// issued before more packets are forwarded, or the sites' round
-    /// feedback (`NewRound` probability drops) lags the stream arbitrarily
-    /// and the paper's message counts inflate. (The select polls arms in
-    /// order, so arm order is a priority.)
-    fn next_packet(
-        &mut self,
-        up_rx: &Receiver<UpPacket>,
-    ) -> Result<Option<UpPacket>, ClusterError> {
-        let Banks::Workers(links) = &self.banks else {
-            return Ok(up_rx.recv().ok());
-        };
-        loop {
-            crossbeam::channel::select! {
-                recv(links.reply_rx) -> reply => {
-                    links.on_reply(&mut self.core, reply.map_err(WorkerLinks::gone)?)?
-                },
-                recv(up_rx) -> pkt => return Ok(pkt.ok()),
-            }
-        }
-    }
-
-    /// Worker barrier closing a flush epoch: the flush acks prove the
-    /// sites are drained, this proves the workers have applied everything
-    /// forwarded before those acks — so every broadcast they triggered is
-    /// issued and counted before the quiescence test. The local bank
-    /// applies and issues synchronously and has nothing to wait for.
-    fn barrier(&mut self) -> Result<(), ClusterError> {
-        let Banks::Workers(links) = &self.banks else { return Ok(()) };
-        links.ask_all(&mut self.core, WorkerMsg::Barrier, |reply| match reply {
-            WorkerReply::BarrierAck => None,
-            other => Some(other),
-        })
+        self.settle_instant_rolls();
+        Ok(())
     }
 }
 
@@ -1646,22 +1334,22 @@ fn run_coordinator<P: CounterProtocol, D: DownSender>(
     // (FIFO merged inbox).
     let mut done = 0usize;
     while done < c.core.k {
-        match c.next_packet(&up_rx)? {
-            Some(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
-            Some(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
-            Some(UpPacket::Crashed { site, partial }) => c.handle_crashed(site, partial)?,
-            Some(UpPacket::Inject { site, kill }) => {
+        match up_rx.recv() {
+            Ok(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
+            Ok(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
+            Ok(UpPacket::Crashed { site, partial }) => c.handle_crashed(site, partial)?,
+            Ok(UpPacket::Inject { site, kill }) => {
                 if c.core.handle_inject(site, kill)? {
                     c.rejoin(site);
                 }
             }
-            Some(UpPacket::RollRequest) => c.request_roll()?,
-            Some(UpPacket::Done) => done += 1,
-            Some(UpPacket::FlushAck { epoch }) => {
+            Ok(UpPacket::RollRequest) => c.request_roll(),
+            Ok(UpPacket::Done) => done += 1,
+            Ok(UpPacket::FlushAck { epoch }) => {
                 return Err(bad(format!("flush ack (epoch {epoch}) before any flush barrier")))
             }
-            Some(UpPacket::Fault { error, .. }) => return Err(error),
-            None => break,
+            Ok(UpPacket::Fault { error, .. }) => return Err(error),
+            Err(_) => break, // every sender is gone
         }
     }
     // Phase 2: quiescence handshake. Repeat flush epochs until one
@@ -1685,30 +1373,29 @@ fn run_coordinator<P: CounterProtocol, D: DownSender>(
         let expected = c.core.alive_sites();
         let mut acks = 0usize;
         while acks < expected {
-            match c.next_packet(&up_rx)? {
-                Some(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
-                Some(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
-                Some(UpPacket::FlushAck { epoch }) if epoch == flush_epoch => acks += 1,
-                Some(UpPacket::FlushAck { epoch }) => {
+            match up_rx.recv() {
+                Ok(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
+                Ok(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
+                Ok(UpPacket::FlushAck { epoch }) if epoch == flush_epoch => acks += 1,
+                Ok(UpPacket::FlushAck { epoch }) => {
                     return Err(bad(format!(
                         "flush ack for epoch {epoch} during epoch {flush_epoch}"
                     )))
                 }
-                Some(UpPacket::Crashed { site, .. }) => {
+                Ok(UpPacket::Crashed { site, .. }) => {
                     return Err(bad(format!("crash marker from site {site} after end of stream")))
                 }
-                Some(UpPacket::Inject { .. }) => {
+                Ok(UpPacket::Inject { .. }) => {
                     return Err(bad("fault injection after end of stream".into()))
                 }
-                Some(UpPacket::RollRequest) => {
+                Ok(UpPacket::RollRequest) => {
                     return Err(bad("roll request after end of stream".into()))
                 }
-                Some(UpPacket::Done) => return Err(bad("done after all streams closed".into())),
-                Some(UpPacket::Fault { error, .. }) => return Err(error),
-                None => break, // all sites gone; nothing in flight
+                Ok(UpPacket::Done) => return Err(bad("done after all streams closed".into())),
+                Ok(UpPacket::Fault { error, .. }) => return Err(error),
+                Err(_) => break, // all sites gone; nothing in flight
             }
         }
-        c.barrier()?;
         if c.core.downs_since_flush == 0 {
             break;
         }
@@ -1716,17 +1403,14 @@ fn run_coordinator<P: CounterProtocol, D: DownSender>(
     if c.core.roller.rolling() {
         return Err(bad("quiescent with an epoch roll still open".into()));
     }
-    let (estimates, up_messages) = c.read_banks()?;
-    c.core.stats.up_messages = up_messages;
+    c.core.stats.up_messages = c.bank.up_messages;
+    let estimates = c.bank.estimates();
     Ok(c.core.finish(estimates, c.busy, flush_epoch))
 }
 
-/// Check a [`ClusterConfig`] against an `n_counters`-counter run, and
-/// resolve its shard plan: `None` keeps the bank on the control thread.
-fn check_config(
-    config: &ClusterConfig,
-    n_counters: usize,
-) -> Result<Option<ShardPlan>, ClusterError> {
+/// Check a [`ClusterConfig`] — the one gate every public field passes
+/// before a thread is spawned or an event pulled.
+fn check_config(config: &ClusterConfig) -> Result<(), ClusterError> {
     let bad = |detail: String| ClusterError::Protocol { context: "cluster config", detail };
     if config.k == 0 {
         return Err(bad("need at least one site".into()));
@@ -1745,15 +1429,7 @@ fn check_config(
             return Err(bad(format!("site {} revive_at {r} <= kill_at {}", f.site, f.kill_at)));
         }
     }
-    let workers = config.coord_workers.max(1);
-    let plan = match &config.shard_starts {
-        Some(starts) if starts.len() != workers => {
-            return Err(bad(format!("{} shard starts for {workers} workers", starts.len())))
-        }
-        Some(starts) => ShardPlan::from_starts(starts.clone(), n_counters).map_err(bad)?,
-        None => ShardPlan::even(n_counters, workers),
-    };
-    Ok((workers > 1).then_some(plan))
+    Ok(())
 }
 
 /// One site thread's serve loop, extracted so the spawn site can wrap it
@@ -1869,7 +1545,7 @@ where
     F: Fn(&EventChunk, &mut Vec<u32>) + Sync,
     I: Iterator<Item = EventChunk>,
 {
-    let plan = check_config(config, protocols.len())?;
+    check_config(config)?;
     let (k, ring_cap) = (config.k, config.epoch_ring);
     let start = Instant::now();
 
@@ -1920,36 +1596,13 @@ where
         }
         drop(state_tx);
 
-        // --- coordinator thread (plus shard workers when planned) ---
-        let links = plan.map(|plan| {
-            let (reply_tx, reply_rx) = unbounded::<WorkerReply>();
-            let mut txs = Vec::with_capacity(plan.workers());
-            for w in 0..plan.workers() {
-                let (tx, rx) = bounded::<WorkerMsg>(WORKER_QUEUE);
-                txs.push(tx);
-                let range = plan.range(w);
-                let reply_tx = reply_tx.clone();
-                scope.spawn(move || {
-                    // A panicked shard worker reports a typed fault on the
-                    // reply channel (the control thread aborts on it); its
-                    // queue disconnects, so the control thread's sends
-                    // fail fast instead of blocking.
-                    let run = || run_worker(Bank::new(protocols, k, range), w, rx, &reply_tx);
-                    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
-                        let _ = reply_tx.send(WorkerReply::Fault(ClusterError::WorkerPanicked {
-                            role: format!("shard worker {w}"),
-                        }));
-                    }
-                });
-            }
-            WorkerLinks { plan, txs, reply_rx, rolls: 0 }
-        });
+        // --- coordinator thread ---
         let hub = config.publish.clone();
         let boundary = config.epoch_boundary.unwrap_or(0);
         let coord_handle = scope.spawn(move || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let core = CtlCore::new(protocols, k, ring_cap, coord_downs, hub, boundary);
-                run_coordinator(Coord::new(core, links), coord_rx)
+                run_coordinator(Coord::new(core), coord_rx)
             }))
             .unwrap_or_else(|_| Err(ClusterError::WorkerPanicked { role: "coordinator".into() }))
         });
@@ -2448,35 +2101,30 @@ mod tests {
 
     #[test]
     fn hub_publishes_settlements_and_the_final_state() {
-        // Both bank placements mint a snapshot at every epoch settlement
-        // and the driver publishes the finalized state after the quiescence
+        // The coordinator mints a snapshot at every epoch settlement and
+        // the driver publishes the finalized state after the quiescence
         // handshake. Exact counters make the contract checkable hard: every
         // cumulative read of the final snapshot must equal the oracle, and
         // must be bit-identical to `settled_totals + estimates`.
-        for workers in [None, Some(2)] {
-            let protocols = vec![ExactProtocol, ExactProtocol];
-            let hub = SnapshotHub::new();
-            let mut config = ClusterConfig::new(3, 9).with_epochs(250, 8).with_publish(hub.clone());
-            if let Some(w) = workers {
-                config = config.with_coord_workers(w);
-            }
-            let events = (0..1000u64).map(|i| vec![(i % 2) as usize]);
-            let report = run_ok(&protocols, &config, chunk_events(events, 16), tiny_map);
-            let snap = hub.load();
-            assert!(snap.finalized, "workers {workers:?}");
-            assert_eq!(snap.epochs, report.epochs);
-            // One mint per settlement, plus the final publish.
-            assert_eq!(snap.seq, report.epochs + 1, "workers {workers:?}");
-            assert_eq!(snap.events, report.events);
-            assert_eq!(snap.exact.as_deref(), Some(report.exact_totals.as_slice()));
-            assert_eq!(snap.closed.len(), report.epoch_estimates.len());
-            for c in 0..protocols.len() {
-                assert_eq!(snap.cumulative(c), report.exact_totals[c] as f64);
-                assert_eq!(
-                    snap.cumulative(c).to_bits(),
-                    (report.settled_totals[c] + report.estimates[c]).to_bits(),
-                );
-            }
+        let protocols = vec![ExactProtocol, ExactProtocol];
+        let hub = SnapshotHub::new();
+        let config = ClusterConfig::new(3, 9).with_epochs(250, 8).with_publish(hub.clone());
+        let events = (0..1000u64).map(|i| vec![(i % 2) as usize]);
+        let report = run_ok(&protocols, &config, chunk_events(events, 16), tiny_map);
+        let snap = hub.load();
+        assert!(snap.finalized);
+        assert_eq!(snap.epochs, report.epochs);
+        // One mint per settlement, plus the final publish.
+        assert_eq!(snap.seq, report.epochs + 1);
+        assert_eq!(snap.events, report.events);
+        assert_eq!(snap.exact.as_deref(), Some(report.exact_totals.as_slice()));
+        assert_eq!(snap.closed.len(), report.epoch_estimates.len());
+        for c in 0..protocols.len() {
+            assert_eq!(snap.cumulative(c), report.exact_totals[c] as f64);
+            assert_eq!(
+                snap.cumulative(c).to_bits(),
+                (report.settled_totals[c] + report.estimates[c]).to_bits(),
+            );
         }
         // Without epoch rolling only the final state is published, and its
         // cumulative read is the end-of-run estimate verbatim.
@@ -2567,7 +2215,7 @@ mod tests {
         k: usize,
     ) -> Coord<'_, ExactProtocol, Sender<DownPacket>> {
         let down_txs = (0..k).map(|_| unbounded::<DownPacket>().0).collect();
-        Coord::new(CtlCore::new(protocols, k, 8, down_txs, None, 0), None)
+        Coord::new(CtlCore::new(protocols, k, 8, down_txs, None, 0))
     }
 
     #[test]
@@ -2658,59 +2306,24 @@ mod tests {
     }
 
     #[test]
-    fn closing_epoch_broadcast_does_not_cross_the_roll() {
-        // A lagging worker's reply to a pre-roll update reaches the control
-        // thread after `EpochRoll` went down. Issuing it would land a
-        // closing epoch's `SyncRequest` on the sites' fresh state: a fresh
-        // HYZ site answers it, mutes, and then ignores the new epoch's own
-        // `SyncRequest { round: 0 }`, wedging the counter. The roll tag
-        // makes the control thread drop it instead. Deterministic: the
-        // worker queue ends are held by hand, no threads.
-        let protocols = vec![HyzProtocol::new(0.2)];
-        let (down_txs, down_rxs): (Vec<_>, Vec<_>) =
-            (0..2).map(|_| unbounded::<DownPacket>()).unzip();
-        let (worker_tx, _worker_rx) = bounded::<WorkerMsg>(WORKER_QUEUE);
-        let (_reply_tx, reply_rx) = unbounded::<WorkerReply>();
-        let links = WorkerLinks {
-            plan: ShardPlan::even(protocols.len(), 1),
-            txs: vec![worker_tx],
-            reply_rx,
-            rolls: 0,
-        };
-        let mut coord = Coord::new(CtlCore::new(&protocols, 2, 8, down_txs, None, 0), Some(links));
-        coord.request_roll().unwrap();
-        let Banks::Workers(links) = &coord.banks else { unreachable!() };
-        let late =
-            WorkerReply::Broadcast { counter: 0, msg: DownMsg::SyncRequest { round: 0 }, rolls: 0 };
-        links.on_reply(&mut coord.core, late).unwrap();
-        let site0 = || std::iter::from_fn(|| down_rxs[0].try_recv().ok());
-        let mut frames = Vec::new();
-        for pkt in site0() {
-            let DownPacket::Data(payload) = pkt else { panic!("unexpected {pkt:?}") };
-            visit_packet(payload, |item| frames.push(item)).unwrap();
-        }
-        assert_eq!(frames, vec![WireItem::EpochRoll { epoch: 0 }]);
-        assert_eq!(coord.core.rounds[0], (0, 1.0));
-        // The same reply tagged with the current roll count is issued.
-        let fresh =
-            WorkerReply::Broadcast { counter: 0, msg: DownMsg::SyncRequest { round: 0 }, rolls: 1 };
-        links.on_reply(&mut coord.core, fresh).unwrap();
-        assert_eq!(site0().count(), 1);
-    }
-
-    #[test]
     fn invalid_fault_schedule_is_a_typed_config_error() {
         // Reachable through `TrackerConfig::faults`: an `Err`, not a panic.
         let protocols = vec![ExactProtocol];
         let fault = SiteFault { site: 9, kill_at: 10, revive_at: None };
-        let config = ClusterConfig::new(4, 1).with_faults(vec![fault]);
-        let events = (0..10u64).map(|_| vec![0usize]);
-        let err = run_cluster(&protocols, &config, chunk_events(events, 4), all_zero).unwrap_err();
-        assert!(
-            matches!(&err, ClusterError::Protocol { context: "cluster config", detail }
-                if detail.contains("site 9")),
-            "got {err:?}"
-        );
+        let bad_fault = ClusterConfig::new(4, 1).with_faults(vec![fault]);
+        // Likewise `TrackerConfig::chunk`; the builders assert nothing, so
+        // `check_config` is the one gate.
+        let zero_chunk = ClusterConfig::new(4, 1).with_chunk(0);
+        for (config, needle) in [(bad_fault, "site 9"), (zero_chunk, "chunk")] {
+            let events = (0..10u64).map(|_| vec![0usize]);
+            let err =
+                run_cluster(&protocols, &config, chunk_events(events, 4), all_zero).unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::Protocol { context: "cluster config", detail }
+                    if detail.contains(needle)),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -2795,104 +2408,5 @@ mod tests {
             UpPacket::Fault { site: 0, error } => assert_eq!(error, substrate),
             other => panic!("expected forwarded transport fault, got {other:?}"),
         }
-    }
-
-    // ---- sharded coordinator smoke tests (the full bit-identity pinning
-    // ---- lives in tests/sharded_equivalence.rs) ----
-
-    #[test]
-    fn sharded_coordinator_matches_single_thread_exactly() {
-        let protocols = vec![ExactProtocol; 8];
-        let m = 4_000u64;
-        let events = || chunk_events((0..m).map(|_| vec![0usize]), 16);
-        let base = run_ok(&protocols, &ClusterConfig::new(3, 13).with_chunk(16), events(), wide8);
-        for workers in [1usize, 2, 4] {
-            let config =
-                ClusterConfig::new(3, 13).with_chunk(16).with_sharded_coordinator(workers, None);
-            let sharded = run_ok(&protocols, &config, events(), wide8);
-            assert_eq!(sharded.estimates, base.estimates, "workers {workers}");
-            assert_eq!(sharded.exact_totals, base.exact_totals, "workers {workers}");
-            assert_eq!(sharded.stats.up_messages, base.stats.up_messages, "workers {workers}");
-            assert_eq!(sharded.stats.down_messages, base.stats.down_messages, "workers {workers}");
-            assert_eq!(sharded.stats.bytes, base.stats.bytes, "workers {workers}");
-            assert_eq!(sharded.stats.packets, base.stats.packets, "workers {workers}");
-        }
-    }
-
-    #[test]
-    fn sharded_coordinator_with_more_workers_than_counters() {
-        // 5 workers over 2 counters: three shards are empty; the run must
-        // still partition the space and settle exactly.
-        let protocols = vec![ExactProtocol, ExactProtocol];
-        let config = ClusterConfig::new(3, 9).with_chunk(8).with_sharded_coordinator(5, None);
-        let events = (0..1000u64).map(|i| vec![(i % 2) as usize]);
-        let report = run_ok(&protocols, &config, chunk_events(events, 8), tiny_map);
-        assert_eq!(report.estimates, vec![500.0, 500.0]);
-        assert_eq!(report.stats.up_messages, 1000);
-    }
-
-    #[test]
-    fn sharded_hyz_stays_in_band_and_terminates() {
-        // HYZ estimates are seed- and interleaving-dependent, so the
-        // cross-shape pin is statistical here; the exact bit-identity
-        // claims are pinned on ExactProtocol above. With rolling on, every
-        // closed epoch must equal its exact oracle and the open epoch stay
-        // in the same band `hyz_epoch_rolls_terminate_and_settle_exactly`
-        // holds the local bank to.
-        let protocols = vec![HyzProtocol::new(0.2)];
-        let m = 30_000u64;
-        for workers in [2usize, 4] {
-            for rolling in [false, true] {
-                let tag = format!("workers {workers} rolling {rolling}");
-                let mut config =
-                    ClusterConfig::new(4, 7).with_chunk(32).with_sharded_coordinator(workers, None);
-                if rolling {
-                    config = config.with_epochs(7_000, 4);
-                }
-                let events = (0..m).map(|_| vec![0usize]);
-                let report = run_ok(&protocols, &config, chunk_events(events, 32), all_zero);
-                assert_eq!(report.exact_totals[0], m, "{tag}");
-                assert_eq!(report.epochs, if rolling { 4 } else { 0 }, "{tag}");
-                for (est, exact) in report.epoch_estimates.iter().zip(&report.epoch_exact_totals) {
-                    assert_eq!(est[0], exact[0] as f64, "{tag}: epoch not settled");
-                }
-                let open = report.open_epoch_exact_totals[0];
-                if open > 1_000 {
-                    let rel = (report.estimates[0] - open as f64).abs() / open as f64;
-                    assert!(rel < 1.0, "{tag}: rel {rel}");
-                }
-                assert_eq!(report.stats.down_messages, report.stats.broadcasts * 4);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_epoch_rolls_settle_exactly() {
-        let protocols = vec![ExactProtocol, ExactProtocol];
-        let config = ClusterConfig::new(3, 29)
-            .with_epochs(250, 8)
-            .with_chunk(16)
-            .with_sharded_coordinator(2, None);
-        let m = 1000u64;
-        let events = (0..m).map(|i| vec![(i % 2) as usize]);
-        let report = run_ok(&protocols, &config, chunk_events(events, 16), tiny_map);
-        assert_eq!(report.epochs, 4);
-        assert_eq!(report.dropped_epochs, 0);
-        for (est, exact) in report.epoch_estimates.iter().zip(&report.epoch_exact_totals) {
-            for (e, &t) in est.iter().zip(exact) {
-                assert_eq!(*e, t as f64, "sharded closed epoch drifted from exact");
-            }
-        }
-        assert_eq!(report.exact_totals, vec![500, 500]);
-    }
-
-    #[test]
-    fn invalid_shard_starts_fail_the_run() {
-        let protocols = vec![ExactProtocol, ExactProtocol];
-        // starts[1] = 999 is past the end of the 2-counter id space.
-        let config = ClusterConfig::new(2, 1).with_sharded_coordinator(2, Some(vec![0, 999]));
-        let events = (0..10u64).map(|_| vec![0usize]);
-        let err = run_cluster(&protocols, &config, chunk_events(events, 4), tiny_map).unwrap_err();
-        assert!(matches!(err, ClusterError::Protocol { .. }), "got {err:?}");
     }
 }

@@ -17,11 +17,10 @@
 //!   cluster; see DESIGN.md §3/§6), with chunked cross-event ingest
 //!   (`EventChunk` slabs on the event channels, multi-event wire packets
 //!   on the up channel, flush-before-control coalescing), the
-//!   `dsbn_counters::wire` frame encoding on every channel send, an
-//!   optionally sharded coordinator (`ClusterConfig::coord_workers` /
-//!   [`shard::ShardPlan`]), and a deterministic quiescence handshake at
-//!   shutdown (no wall-clock drain timeouts). Decode failures surface as
-//!   typed [`transport::ClusterError`]s, never panics.
+//!   `dsbn_counters::wire` frame encoding on every channel send, and a
+//!   deterministic quiescence handshake at shutdown (no wall-clock drain
+//!   timeouts). Decode failures surface as typed
+//!   [`transport::ClusterError`]s, never panics.
 //!
 //! Plus [`partition`] (uniform / round-robin / Zipf event routing),
 //! [`metrics::MessageStats`] (paper-convention message accounting), and
@@ -33,7 +32,6 @@
 pub mod cluster;
 pub mod metrics;
 pub mod partition;
-pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod transport;
@@ -44,7 +42,6 @@ pub use cluster::{
 pub use dsbn_datagen::{chunk_events, EventChunk};
 pub use metrics::MessageStats;
 pub use partition::{Partitioner, SiteAssigner};
-pub use shard::ShardPlan;
 pub use sim::CounterArray;
 pub use snapshot::{CounterSnapshot, SnapshotHub};
 #[cfg(unix)]

@@ -85,13 +85,13 @@ pub enum ClusterError {
         detail: String,
     },
     /// The transport substrate failed (socket error, envelope garbage,
-    /// worker/pump disconnect).
+    /// pump disconnect).
     Transport(String),
     /// A runtime thread panicked. Surfaced as a typed error instead of
     /// propagating the panic (or worse, silently swallowing it at join).
     WorkerPanicked {
-        /// Which thread died, e.g. `"coordinator"`, `"site 3"`,
-        /// `"shard worker 1"`, `"transport pump"`.
+        /// Which thread died: `"coordinator"`, `"site 3"`, `"driver"`,
+        /// `"transport pump"`.
         role: String,
     },
 }

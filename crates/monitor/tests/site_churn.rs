@@ -237,21 +237,13 @@ fn epoch_rolling_reconciles_under_churn() {
 }
 
 #[test]
-fn sharded_coordinator_reconciles_under_churn() {
+fn seeded_schedule_reconciles_at_a_coarse_chunk() {
     let m = 30_000u64;
-    let faults = SiteFault::schedule(4, m, 2, 77);
-    let config = ClusterConfig::new(4, 77)
-        .with_chunk(64)
-        .with_sharded_coordinator(2, None)
-        .with_faults(faults.clone());
+    let config =
+        ClusterConfig::new(4, 77).with_chunk(64).with_faults(SiteFault::schedule(4, m, 2, 77));
     let report = run_exact(&config, m);
     assert!(report.churn.kills >= 1);
-    assert_reconciles(&report, m, "sharded coordinator");
-    // Same schedule through the single-thread coordinator: both shapes
-    // must uphold the identity (counts differ — thread timing moves the
-    // crash point — but the ledger always balances).
-    let inline = ClusterConfig::new(4, 77).with_chunk(64).with_faults(faults);
-    assert_reconciles(&run_exact(&inline, m), m, "inline coordinator");
+    assert_reconciles(&report, m, "seed 77");
 }
 
 #[cfg(unix)]
@@ -331,8 +323,7 @@ impl CounterProtocol for SitePanicProtocol {
 }
 
 /// The mirror image: the *coordinator-side* `handle_up` panics after
-/// `limit` deliveries — on the coordinator thread inline, on a shard
-/// worker thread when sharded.
+/// `limit` deliveries, on the coordinator thread.
 #[derive(Clone, Copy)]
 struct CoordPanicProtocol {
     limit: u64,
@@ -408,18 +399,6 @@ fn coordinator_panic_surfaces_as_typed_error() {
         map_event,
     );
     expect_worker_panicked(result, "coordinator");
-}
-
-#[test]
-fn shard_worker_panic_surfaces_as_typed_error() {
-    let protocols = vec![CoordPanicProtocol { limit: 500 }; N_COUNTERS];
-    let result = run_cluster(
-        &protocols,
-        &ClusterConfig::new(3, 3).with_chunk(16).with_sharded_coordinator(2, None),
-        chunk_events(events(20_000), 16),
-        map_event,
-    );
-    expect_worker_panicked(result, "shard worker");
 }
 
 #[test]

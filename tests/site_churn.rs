@@ -150,19 +150,6 @@ fn skewed_and_bursty_arrivals_reconcile_under_churn() {
 }
 
 #[test]
-fn sharded_coordinator_tracker_reconciles_under_churn() {
-    let net = sprinkler_network();
-    let m = 40_000usize;
-    let tc = TrackerConfig::new(Scheme::Uniform)
-        .with_k(5)
-        .with_seed(21)
-        .with_coord_workers(2)
-        .with_faults(SiteFault::schedule(5, m as u64, 2, 21));
-    let run = assert_churn_reconciles(&net, &tc, m, 21);
-    assert!(run.report.churn.kills >= 1);
-}
-
-#[test]
 fn decayed_cluster_tracker_survives_churn() {
     // Epoch settlements are the durable checkpoints: the decayed tracker
     // under churn still settles every epoch and reports a balanced ledger

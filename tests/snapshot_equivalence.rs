@@ -1,11 +1,10 @@
 //! The serving layer must be invisible in the numbers: a snapshot minted
 //! at the final settlement answers *byte-identically* to the end-of-run
-//! model — across networks, schemes, coordinator shapes (single-thread
-//! and sharded K = 1, 2, 4), transports (in-process channels and Unix
-//! domain sockets), the decayed tracker, and the synchronous simulator.
+//! model — across networks, schemes, transports (in-process channels and
+//! Unix domain sockets), the decayed tracker, and the synchronous simulator.
 //! Mid-stream snapshots are epoch-consistent cuts: whole events only for
 //! the exact scheme, inside the Lemma 4 band for randomized schemes, with
-//! monotone publish sequences. Companion to `tests/sharded_equivalence.rs`
+//! monotone publish sequences. Companion to `tests/transport_equivalence.rs`
 //! (which pins the write path this read path snapshots).
 
 use dsbn::bayes::{sprinkler_network, BayesianNetwork, NetworkSpec};
@@ -69,39 +68,36 @@ fn assert_server_matches_model(
     }
 }
 
-/// The core acceptance anchor: every (network, scheme, coordinator shape)
-/// leaves the server byte-identical to the `ClusterModel` the run returned
-/// — with no epochs configured, the final snapshot's open counts *are* the
-/// report estimates verbatim.
+/// The core acceptance anchor: every (network, scheme) leaves the server
+/// byte-identical to the `ClusterModel` the run returned — with no epochs
+/// configured, the final snapshot's open counts *are* the report estimates
+/// verbatim.
 #[test]
 fn final_snapshot_serves_the_end_of_run_model_bitwise() {
     for (net_name, m) in [("sprinkler", 4_000usize), ("alarm", 1_200)] {
         let net = net_by_name(net_name);
         for scheme in Scheme::ALL {
-            for workers in [1usize, 2, 4] {
-                let hub = SnapshotHub::new();
-                let tc = TrackerConfig::new(scheme)
-                    .with_k(4)
-                    .with_seed(3)
-                    .with_chunk(64)
-                    .with_coord_workers(workers)
-                    .with_publish(hub.clone());
-                let server = SnapshotServer::new(&net, tc.smoothing, hub.clone());
-                let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 17).take(m))
-                    .expect("cluster run failed");
-                let tag = format!("{net_name}/{}/workers {workers}", scheme.name());
-                assert_eq!(hub.seq(), 1, "{tag}: exactly one (final) publish");
-                let snap = server.snapshot();
-                assert!(snap.finalized, "{tag}");
-                assert_eq!(snap.events, m as u64, "{tag}");
-                assert_server_matches_model(
-                    &tag,
-                    &net,
-                    &server,
-                    |x| run.model.log_query(x),
-                    |t, x| run.model.classify(t, x),
-                );
-            }
+            let hub = SnapshotHub::new();
+            let tc = TrackerConfig::new(scheme)
+                .with_k(4)
+                .with_seed(3)
+                .with_chunk(64)
+                .with_publish(hub.clone());
+            let server = SnapshotServer::new(&net, tc.smoothing, hub.clone());
+            let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 17).take(m))
+                .expect("cluster run failed");
+            let tag = format!("{net_name}/{}", scheme.name());
+            assert_eq!(hub.seq(), 1, "{tag}: exactly one (final) publish");
+            let snap = server.snapshot();
+            assert!(snap.finalized, "{tag}");
+            assert_eq!(snap.events, m as u64, "{tag}");
+            assert_server_matches_model(
+                &tag,
+                &net,
+                &server,
+                |x| run.model.log_query(x),
+                |t, x| run.model.classify(t, x),
+            );
         }
     }
 }
@@ -114,32 +110,29 @@ fn final_snapshot_with_epochs_is_bitwise_and_seq_counts_settlements() {
     let net = sprinkler_network();
     let m = 6_000usize;
     for scheme in Scheme::ALL {
-        for workers in [1usize, 2] {
-            let hub = SnapshotHub::new();
-            let tc = TrackerConfig::new(scheme)
-                .with_k(3)
-                .with_seed(9)
-                .with_chunk(32)
-                .with_coord_workers(workers)
-                .with_snapshot_every(1_000)
-                .with_publish(hub.clone());
-            let server = SnapshotServer::new(&net, tc.smoothing, hub.clone());
-            let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 17).take(m))
-                .expect("cluster run failed");
-            let tag = format!("{}/workers {workers}", scheme.name());
-            assert!(run.report.epochs > 0, "{tag}: settlements must have happened");
-            assert_eq!(hub.seq(), run.report.epochs + 1, "{tag}: one publish per settlement");
-            let snap = hub.load();
-            assert!(snap.finalized, "{tag}");
-            assert_eq!(snap.exact.as_deref(), Some(run.report.exact_totals.as_slice()), "{tag}");
-            assert_server_matches_model(
-                &tag,
-                &net,
-                &server,
-                |x| run.model.log_query(x),
-                |t, x| run.model.classify(t, x),
-            );
-        }
+        let hub = SnapshotHub::new();
+        let tc = TrackerConfig::new(scheme)
+            .with_k(3)
+            .with_seed(9)
+            .with_chunk(32)
+            .with_snapshot_every(1_000)
+            .with_publish(hub.clone());
+        let server = SnapshotServer::new(&net, tc.smoothing, hub.clone());
+        let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 17).take(m))
+            .expect("cluster run failed");
+        let tag = scheme.name();
+        assert!(run.report.epochs > 0, "{tag}: settlements must have happened");
+        assert_eq!(hub.seq(), run.report.epochs + 1, "{tag}: one publish per settlement");
+        let snap = hub.load();
+        assert!(snap.finalized, "{tag}");
+        assert_eq!(snap.exact.as_deref(), Some(run.report.exact_totals.as_slice()), "{tag}");
+        assert_server_matches_model(
+            tag,
+            &net,
+            &server,
+            |x| run.model.log_query(x),
+            |t, x| run.model.classify(t, x),
+        );
     }
 }
 
@@ -175,54 +168,50 @@ fn exact_mid_stream_snapshots_are_whole_event_cuts() {
     let layout = CounterLayout::new(&net);
     let every = 500u64;
     let m = 20_000usize;
-    for workers in [1usize, 2] {
-        let hub = SnapshotHub::new();
-        let tc = TrackerConfig::new(Scheme::ExactMle)
-            .with_k(3)
-            .with_seed(5)
-            .with_chunk(32)
-            .with_coord_workers(workers)
-            .with_snapshot_every(every)
-            .with_publish(hub.clone());
-        let stop = AtomicBool::new(false);
-        let (run, seen) = std::thread::scope(|scope| {
-            let poller = scope.spawn(|| collect_snapshots(&hub, &stop));
-            let events = paced(TrainingStream::new(&net, 13).take(m), every as usize);
-            let run = run_cluster_tracker(&net, &tc, events).expect("cluster run failed");
-            stop.store(true, Ordering::Release);
-            (run, poller.join().expect("poller panicked"))
-        });
-        let tag = format!("workers {workers}");
-        assert!(seen.len() >= 3, "{tag}: poller observed only {} snapshots", seen.len());
-        let mut last_seq = 0u64;
-        for snap in &seen {
-            assert!(snap.seq > last_seq, "{tag}: publish sequence must ascend");
-            last_seq = snap.seq;
-            if snap.finalized {
-                assert_eq!(snap.seq, run.report.epochs + 1, "{tag}");
-                assert_eq!(snap.events, m as u64, "{tag}");
-                assert!(snap.exact.is_some(), "{tag}: final snapshot carries the oracle");
-            } else {
-                assert_eq!(snap.epochs, snap.seq, "{tag}: one settlement per publish");
-                assert_eq!(snap.events, snap.epochs * every, "{tag}");
-                assert!(snap.exact.is_none(), "{tag}: no oracle before the flush");
-            }
-            for i in 0..layout.n_vars() {
-                for u in 0..layout.parent_configs(i) {
-                    let family: f64 = (0..layout.cardinality(i))
-                        .map(|v| snap.cumulative(layout.family_id(i, v, u) as usize))
-                        .sum();
-                    let parent = snap.cumulative(layout.parent_id(i, u) as usize);
-                    assert_eq!(
-                        family, parent,
-                        "{tag}: seq {} cut variable {i} config {u} mid-event",
-                        snap.seq
-                    );
-                }
+    let hub = SnapshotHub::new();
+    let tc = TrackerConfig::new(Scheme::ExactMle)
+        .with_k(3)
+        .with_seed(5)
+        .with_chunk(32)
+        .with_snapshot_every(every)
+        .with_publish(hub.clone());
+    let stop = AtomicBool::new(false);
+    let (run, seen) = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| collect_snapshots(&hub, &stop));
+        let events = paced(TrainingStream::new(&net, 13).take(m), every as usize);
+        let run = run_cluster_tracker(&net, &tc, events).expect("cluster run failed");
+        stop.store(true, Ordering::Release);
+        (run, poller.join().expect("poller panicked"))
+    });
+    assert!(seen.len() >= 3, "poller observed only {} snapshots", seen.len());
+    let mut last_seq = 0u64;
+    for snap in &seen {
+        assert!(snap.seq > last_seq, "publish sequence must ascend");
+        last_seq = snap.seq;
+        if snap.finalized {
+            assert_eq!(snap.seq, run.report.epochs + 1);
+            assert_eq!(snap.events, m as u64);
+            assert!(snap.exact.is_some(), "final snapshot carries the oracle");
+        } else {
+            assert_eq!(snap.epochs, snap.seq, "one settlement per publish");
+            assert_eq!(snap.events, snap.epochs * every);
+            assert!(snap.exact.is_none(), "no oracle before the flush");
+        }
+        for i in 0..layout.n_vars() {
+            for u in 0..layout.parent_configs(i) {
+                let family: f64 = (0..layout.cardinality(i))
+                    .map(|v| snap.cumulative(layout.family_id(i, v, u) as usize))
+                    .sum();
+                let parent = snap.cumulative(layout.parent_id(i, u) as usize);
+                assert_eq!(
+                    family, parent,
+                    "seq {} cut variable {i} config {u} mid-event",
+                    snap.seq
+                );
             }
         }
-        assert!(seen.last().unwrap().finalized, "{tag}: final publish observed");
     }
+    assert!(seen.last().unwrap().finalized, "final publish observed");
 }
 
 /// Mid-stream snapshots under a randomized scheme split cleanly along the
@@ -322,30 +311,27 @@ fn decayed_final_snapshot_matches_the_decayed_model_bitwise() {
     let net = sprinkler_network();
     let decay = EpochDecayConfig::new(0.8, 500, 6);
     for scheme in [Scheme::ExactMle, Scheme::NonUniform] {
-        for workers in [1usize, 2] {
-            let hub = SnapshotHub::new();
-            let tc = TrackerConfig::new(scheme)
-                .with_k(3)
-                .with_eps(0.1)
-                .with_seed(7)
-                .with_chunk(32)
-                .with_coord_workers(workers)
-                .with_decay(decay)
-                .with_publish(hub.clone());
-            let server = SnapshotServer::with_decay(&net, tc.smoothing, hub.clone(), decay.lambda);
-            let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 29).take(8_000))
-                .expect("decayed cluster run failed");
-            let tag = format!("decayed {}/workers {workers}", scheme.name());
-            assert!(run.report.epochs > 0, "{tag}");
-            assert_eq!(hub.seq(), run.report.epochs + 1, "{tag}");
-            assert_server_matches_model(
-                &tag,
-                &net,
-                &server,
-                |x| run.model.log_query(x),
-                |t, x| run.model.classify(t, x),
-            );
-        }
+        let hub = SnapshotHub::new();
+        let tc = TrackerConfig::new(scheme)
+            .with_k(3)
+            .with_eps(0.1)
+            .with_seed(7)
+            .with_chunk(32)
+            .with_decay(decay)
+            .with_publish(hub.clone());
+        let server = SnapshotServer::with_decay(&net, tc.smoothing, hub.clone(), decay.lambda);
+        let run = run_cluster_tracker(&net, &tc, TrainingStream::new(&net, 29).take(8_000))
+            .expect("decayed cluster run failed");
+        let tag = format!("decayed {}", scheme.name());
+        assert!(run.report.epochs > 0, "{tag}");
+        assert_eq!(hub.seq(), run.report.epochs + 1, "{tag}");
+        assert_server_matches_model(
+            &tag,
+            &net,
+            &server,
+            |x| run.model.log_query(x),
+            |t, x| run.model.classify(t, x),
+        );
     }
 }
 
@@ -386,7 +372,7 @@ fn sim_tracker_snapshot_is_bitwise_frozen_for_every_scheme() {
 
 /// Snapshots are transport-invariant: the raw exact pipeline over Unix
 /// domain sockets publishes a final snapshot byte-identical to the one the
-/// in-process channel transport publishes, for both coordinator shapes.
+/// in-process channel transport publishes.
 #[cfg(unix)]
 #[test]
 fn uds_final_snapshot_matches_channels_bit_for_bit() {
@@ -397,58 +383,45 @@ fn uds_final_snapshot_matches_channels_bit_for_bit() {
     let layout = CounterLayout::new(&net);
     let protocols = vec![ExactProtocol; layout.n_counters()];
     let m = 5_000u64;
-    for workers in [0usize, 2] {
-        let run = |uds: bool| -> Arc<CounterSnapshot> {
-            let hub = SnapshotHub::new();
-            let mut config = ClusterConfig::new(3, 11)
-                .with_chunk(32)
-                .with_epochs(500, 8)
-                .with_publish(hub.clone());
-            if workers > 0 {
-                config =
-                    config.with_sharded_coordinator(workers, Some(layout.shard_starts(workers)));
-            }
-            let events = TrainingStream::new(&net, 7).chunks(32, m);
-            let report = if uds {
-                run_cluster_on(&UdsTransport, &protocols, &config, events, |chunk, ids| {
-                    layout.map_chunk(chunk, ids)
-                })
-            } else {
-                run_cluster_on(&ChannelTransport, &protocols, &config, events, |chunk, ids| {
-                    layout.map_chunk(chunk, ids)
-                })
-            }
-            .expect("cluster run failed");
-            let snap = hub.load();
-            assert!(snap.finalized);
-            assert_eq!(snap.events, report.events);
-            assert_eq!(snap.exact.as_deref(), Some(report.exact_totals.as_slice()));
-            for c in 0..layout.n_counters() {
-                assert_eq!(
-                    snap.cumulative(c).to_bits(),
-                    (report.settled_totals[c] + report.estimates[c]).to_bits(),
-                    "cumulative reads must be settled + open"
-                );
-            }
-            snap
-        };
-        let chan = run(false);
-        let uds = run(true);
-        let tag = format!("workers {workers}");
-        assert_eq!(uds.seq, chan.seq, "{tag}");
-        assert_eq!(uds.events, chan.events, "{tag}");
-        assert_eq!(uds.epochs, chan.epochs, "{tag}");
-        // The settled/open *split* is timing-dependent — which events a
-        // site had ingested when a roll reached it varies with delivery
-        // timing, on either transport — but the cumulative count per
-        // counter is a property of the event multiset: bit-identical.
+    let run = |uds: bool| -> Arc<CounterSnapshot> {
+        let hub = SnapshotHub::new();
+        let config =
+            ClusterConfig::new(3, 11).with_chunk(32).with_epochs(500, 8).with_publish(hub.clone());
+        let events = TrainingStream::new(&net, 7).chunks(32, m);
+        let report = if uds {
+            run_cluster_on(&UdsTransport, &protocols, &config, events, |chunk, ids| {
+                layout.map_chunk(chunk, ids)
+            })
+        } else {
+            run_cluster_on(&ChannelTransport, &protocols, &config, events, |chunk, ids| {
+                layout.map_chunk(chunk, ids)
+            })
+        }
+        .expect("cluster run failed");
+        let snap = hub.load();
+        assert!(snap.finalized);
+        assert_eq!(snap.events, report.events);
+        assert_eq!(snap.exact.as_deref(), Some(report.exact_totals.as_slice()));
         for c in 0..layout.n_counters() {
             assert_eq!(
-                uds.cumulative(c).to_bits(),
-                chan.cumulative(c).to_bits(),
-                "{tag} counter {c}"
+                snap.cumulative(c).to_bits(),
+                (report.settled_totals[c] + report.estimates[c]).to_bits(),
+                "cumulative reads must be settled + open"
             );
         }
-        assert_eq!(uds.exact, chan.exact, "{tag}");
+        snap
+    };
+    let chan = run(false);
+    let uds = run(true);
+    assert_eq!(uds.seq, chan.seq);
+    assert_eq!(uds.events, chan.events);
+    assert_eq!(uds.epochs, chan.epochs);
+    // The settled/open *split* is timing-dependent — which events a
+    // site had ingested when a roll reached it varies with delivery
+    // timing, on either transport — but the cumulative count per
+    // counter is a property of the event multiset: bit-identical.
+    for c in 0..layout.n_counters() {
+        assert_eq!(uds.cumulative(c).to_bits(), chan.cumulative(c).to_bits(), "counter {c}");
     }
+    assert_eq!(uds.exact, chan.exact);
 }
