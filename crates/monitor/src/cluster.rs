@@ -161,10 +161,15 @@ impl ChurnReport {
     }
 }
 
-/// Capacity of the event and up-packet channels (backpressure). Event
-/// channels carry chunks, so the in-flight event bound is
-/// `CHANNEL_CAPACITY * chunk`.
-const CHANNEL_CAPACITY: usize = 4096;
+/// Chunks a driver → site link holds: the in-flight event bound is
+/// `FEED_DEPTH * chunk` per site, so the driver is paced by the slowest
+/// site instead of handing it the whole stream.
+const FEED_DEPTH: usize = 4;
+
+/// Packets per site the coordinator's up inbox holds (`UP_DEPTH * k + 1`,
+/// the one for the driver). A packet carries up to a chunk of events, so
+/// this depth is the coordinator's feedback lag counted in events.
+const UP_DEPTH: usize = 4;
 
 /// A site flushes its accumulated update packet once it reaches this many
 /// bytes, even mid-chunk (bounds buffering; the packet also always flushes
@@ -479,15 +484,10 @@ where
     /// tearing the buffered packet mid-frame: the deterministic
     /// reproduction of a site dying mid-flush.
     ///
-    /// Unless held, the packet flushes on the size threshold, at the chunk
-    /// boundary, and immediately after any event that produced a
-    /// non-increment message. Reports (and cumulative/threshold messages)
-    /// drive the protocols' round feedback — a buffered HYZ report delays
-    /// the sync/`NewRound` cycle, leaving sites sampling at a stale higher
-    /// probability and *inflating* the paper's logical message counts — so
-    /// they ship promptly, like the other control-ish traffic (the
-    /// flush-before-control rule). Bare increments, the exact-maintenance
-    /// hot path, carry no feedback and keep full amortization.
+    /// Unless held, the packet flushes on the size threshold and at the
+    /// chunk boundary — never per report: the coordinator sees a site's
+    /// reports at most one chunk late (DESIGN.md §4). Control traffic
+    /// flushes it first wherever it is produced (flush-before-control).
     fn ingest(&mut self, chunk: &EventChunk, keep: usize, hold: bool) -> bool {
         if chunk.is_empty() {
             return hold || self.flush();
@@ -509,9 +509,8 @@ where
                 self.batch.push((rest[pos], up));
                 rest = &rest[pos + 1..];
             }
-            let urgent = self.batch.iter().any(|(_, m)| !matches!(m, UpMsg::Increment));
             encode_event(&mut self.batch, &mut self.pkt);
-            if !hold && (urgent || self.pkt.len() >= FLUSH_BYTES) && !self.flush() {
+            if !hold && self.pkt.len() >= FLUSH_BYTES && !self.flush() {
                 ok = false;
                 break;
             }
@@ -1550,12 +1549,12 @@ where
     let start = Instant::now();
 
     let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } =
-        transport.connect(k, CHANNEL_CAPACITY)?;
+        transport.connect(k, UP_DEPTH * k + 1)?;
 
     let mut event_txs: Vec<Sender<SiteFeed>> = Vec::with_capacity(k);
     let mut event_rxs: Vec<Receiver<SiteFeed>> = Vec::with_capacity(k);
     for _ in 0..k {
-        let (tx, rx) = bounded::<SiteFeed>(CHANNEL_CAPACITY);
+        let (tx, rx) = bounded::<SiteFeed>(FEED_DEPTH);
         event_txs.push(tx);
         event_rxs.push(rx);
     }
