@@ -193,6 +193,25 @@ mod tests {
     }
 
     #[test]
+    fn a_last_cumulative_supersedes_the_earlier_ones() {
+        // What the cluster's supersede rule relies on: the coordinator keeps
+        // a site's largest cumulative count, so sending only the last of
+        // `c1 < … < cn` leaves it in the same state, bit for bit.
+        let proto = DeterministicProtocol::new(0.2);
+        let cumulative = |value| UpMsg::Cumulative { value };
+        let mut every = proto.new_coord(3);
+        for (site, value) in [(0, 10), (1, 5), (0, 11), (0, 13), (0, 20)] {
+            assert_eq!(proto.handle_up(&mut every, site, cumulative(value)), None);
+        }
+        let mut last = proto.new_coord(3);
+        for (site, value) in [(1, 5), (0, 20)] {
+            assert_eq!(proto.handle_up(&mut last, site, cumulative(value)), None);
+        }
+        assert_eq!(proto.estimate(&every).to_bits(), proto.estimate(&last).to_bits());
+        assert_eq!((every.last, every.sum), (last.last, last.sum));
+    }
+
+    #[test]
     fn stale_regression_ignored() {
         let proto = DeterministicProtocol::new(0.2);
         let mut coord = proto.new_coord(2);

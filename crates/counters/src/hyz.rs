@@ -760,6 +760,70 @@ mod tests {
         assert_eq!(site.p, 1.0);
     }
 
+    /// A `k = 4` coordinator in round 1 with `s0 = 64`: `p = 2 / (0.5 ·
+    /// 64) = 1/16`, so the correction `1/p − 1 = 15` and every
+    /// contribution are integers, exact in f64 — the incrementally kept
+    /// `contrib_sum` then cannot round differently along two paths.
+    fn coord_at_round_one(proto: &HyzProtocol) -> HyzCoord {
+        let mut coord = proto.new_coord(4);
+        coord.syncing = true;
+        for site in 0..4 {
+            let _ = proto.handle_up(&mut coord, site, UpMsg::SyncReply { round: 0, value: 16 });
+        }
+        assert_eq!((coord.round, coord.p, coord.threshold), (1, 1.0 / 16.0, 128.0));
+        coord
+    }
+
+    #[test]
+    fn a_last_report_supersedes_the_earlier_ones_of_its_round() {
+        // What the cluster's supersede rule relies on: the coordinator keeps
+        // only a site's last in-round report, so a site that sends only the
+        // last of `r1 < … < rn` leaves it in the same state, bit for bit.
+        let proto = HyzProtocol::new(0.5);
+        let report = |value| UpMsg::Report { round: 1, value };
+        let mut every = coord_at_round_one(&proto);
+        for (site, value) in [(0, 1), (1, 3), (0, 4), (0, 7), (0, 10)] {
+            assert_eq!(proto.handle_up(&mut every, site, report(value)), None);
+        }
+        let mut last = coord_at_round_one(&proto);
+        for (site, value) in [(1, 3), (0, 10)] {
+            assert_eq!(proto.handle_up(&mut last, site, report(value)), None);
+        }
+        assert_eq!(proto.estimate(&every).to_bits(), proto.estimate(&last).to_bits());
+        assert_eq!(every.contrib, last.contrib);
+    }
+
+    #[test]
+    fn a_superseded_crossing_opens_the_same_sync() {
+        // Site 0's report of 31 crosses the threshold (64 + 18 + 46 = 128);
+        // the sequential path opens the sync there and drops the 40 as
+        // stale, the superseding path opens it on the 40. Same request, and
+        // once the sync completes the two coordinators agree bit for bit.
+        let proto = HyzProtocol::new(0.5);
+        let report = |value| UpMsg::Report { round: 1, value };
+        let sync = Some(DownMsg::SyncRequest { round: 1 });
+        let mut every = coord_at_round_one(&proto);
+        let _ = proto.handle_up(&mut every, 1, report(3));
+        assert_eq!(proto.handle_up(&mut every, 0, report(10)), None);
+        assert_eq!(proto.handle_up(&mut every, 0, report(31)), sync);
+        assert_eq!(proto.handle_up(&mut every, 0, report(40)), None);
+        let mut last = coord_at_round_one(&proto);
+        let _ = proto.handle_up(&mut last, 1, report(3));
+        assert_eq!(proto.handle_up(&mut last, 0, report(40)), sync);
+        let mut opened = Vec::new();
+        for coord in [&mut every, &mut last] {
+            for (site, value) in [(0, 60), (1, 20), (2, 16), (3, 16)] {
+                if let Some(down) =
+                    proto.handle_up(coord, site, UpMsg::SyncReply { round: 1, value })
+                {
+                    opened.push(down);
+                }
+            }
+        }
+        assert_eq!(opened, vec![DownMsg::NewRound { round: 2, p: 2.0 / (0.5 * 112.0) }; 2]);
+        assert_eq!(proto.estimate(&every).to_bits(), proto.estimate(&last).to_bits());
+    }
+
     #[test]
     fn gap_distribution_is_geometric() {
         let mut rng = StdRng::seed_from_u64(5);

@@ -63,7 +63,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use dsbn_counters::epoch::EpochRoller;
 use dsbn_counters::msg::{DownMsg, UpMsg};
 use dsbn_counters::protocol::{drain, sweep, CounterProtocol};
-use dsbn_counters::wire::{encode, encode_event, visit_packet, Frame, WireItem};
+use dsbn_counters::wire::{encode, encode_event, frame_len, visit_packet, Frame, WireItem};
 use dsbn_datagen::EventChunk;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -380,12 +380,12 @@ fn add_into(into: &mut [u64], from: &[u64]) {
 }
 
 /// Per-site-thread state: the protocol site states plus the chunked send
-/// path — a reused packet buffer that accumulates `encode_event` sections
-/// and flushes on size, at chunk boundaries, and (always) before any
-/// control frame leaves the site. The flush-before-control rule is what
-/// keeps the per-site FIFO attribution arguments (quiescence, epoch
-/// settlement — DESIGN.md §3.2/§5.1) valid under coalescing: no update can
-/// linger in a local buffer while an ack that must follow it goes out.
+/// path — one open packet that accumulates the events' updates and
+/// flushes on size, at chunk boundaries, and (always) before any control
+/// frame leaves the site. The flush-before-control rule is what keeps the
+/// per-site FIFO attribution arguments (quiescence, epoch settlement —
+/// DESIGN.md §3.2/§5.1) valid under coalescing: no update can linger in a
+/// local buffer while an ack that must follow it goes out.
 ///
 /// Generic over the transport's up-sending half `U`, so the same loop runs
 /// over a channel or a socket.
@@ -399,10 +399,22 @@ struct SiteWorker<'a, P: CounterProtocol, F, U: UpSender> {
     /// Scratch: the current chunk's counter ids, back to back at a fixed
     /// per-event stride (the layout's `map_chunk` slab).
     ids: Vec<u32>,
-    /// Scratch: the current event's (or broadcast's) pending updates.
+    /// Scratch: the current event's increments, or a broadcast's replies.
     batch: Vec<(u32, UpMsg)>,
-    /// The accumulating multi-event packet (reused across flushes).
+    /// The open packet's encoded bytes: every event's increments, in
+    /// order (reused across flushes).
     pkt: BytesMut,
+    /// The open packet's reports — at most one `Report` / `Cumulative` per
+    /// counter, encoded behind the increments when the packet closes. A
+    /// later one for the same counter *supersedes* the pending one: the
+    /// coordinator keeps only a site's last in-round report (HYZ) or its
+    /// largest cumulative count (deterministic), so the superseded one
+    /// carries nothing it would use (DESIGN.md §4).
+    reports: Vec<(u32, UpMsg)>,
+    /// `slot[c]` is one past counter `c`'s index in `reports`, 0 for none.
+    slot: Vec<u32>,
+    /// Encoded size of `reports`, counted toward [`FLUSH_BYTES`].
+    report_bytes: usize,
     /// A `Kill` arrived: crash mid-way through the next chunk (tearing the
     /// in-flight packet) or at end-of-stream, whichever comes first.
     dying: bool,
@@ -450,15 +462,53 @@ where
             ids: Vec::new(),
             batch: Vec::new(),
             pkt: BytesMut::new(),
+            reports: Vec::new(),
+            slot: vec![0; n],
+            report_bytes: 0,
             dying: false,
             dead: false,
             down_since: None,
         }
     }
 
-    /// Send the accumulated packet, if any. Returns `false` when the up
+    /// Add one update an event produced to the open packet: a `Report` or
+    /// `Cumulative` replaces the one pending for its counter, anything
+    /// else joins the event's batch.
+    fn push_update(&mut self, counter: u32, up: UpMsg) {
+        if !matches!(up, UpMsg::Report { .. } | UpMsg::Cumulative { .. }) {
+            self.batch.push((counter, up));
+            return;
+        }
+        let new_len = frame_len(&Frame::Up { counter, msg: up });
+        let slot = &mut self.slot[counter as usize];
+        if *slot == 0 {
+            self.reports.push((counter, up));
+            *slot = self.reports.len() as u32;
+            self.report_bytes += new_len;
+        } else {
+            let old = std::mem::replace(&mut self.reports[*slot as usize - 1].1, up);
+            self.report_bytes =
+                self.report_bytes + new_len - frame_len(&Frame::Up { counter, msg: old });
+        }
+    }
+
+    /// Close the open packet into `pkt`: the pending reports, then `batch`
+    /// (a broadcast's replies — so a reply never precedes a report of its
+    /// own round).
+    fn seal(&mut self) {
+        for &(counter, msg) in &self.reports {
+            self.slot[counter as usize] = 0;
+            encode(&Frame::Up { counter, msg }, &mut self.pkt);
+        }
+        self.reports.clear();
+        self.report_bytes = 0;
+        encode_event(&mut self.batch, &mut self.pkt);
+    }
+
+    /// Seal and send the open packet, if any. Returns `false` when the up
     /// link is gone (the run is over).
     fn flush(&mut self) -> bool {
+        self.seal();
         if self.pkt.is_empty() {
             return true;
         }
@@ -484,10 +534,11 @@ where
     /// tearing the buffered packet mid-frame: the deterministic
     /// reproduction of a site dying mid-flush.
     ///
-    /// Unless held, the packet flushes on the size threshold and at the
-    /// chunk boundary — never per report: the coordinator sees a site's
-    /// reports at most one chunk late (DESIGN.md §4). Control traffic
-    /// flushes it first wherever it is produced (flush-before-control).
+    /// Unless held, the packet flushes on the size threshold (pending
+    /// reports included) and at the chunk boundary — never per report: the
+    /// coordinator sees a site's reports at most one chunk late (DESIGN.md
+    /// §4). Control traffic flushes it first wherever it is produced
+    /// (flush-before-control).
     fn ingest(&mut self, chunk: &EventChunk, keep: usize, hold: bool) -> bool {
         if chunk.is_empty() {
             return hold || self.flush();
@@ -499,18 +550,26 @@ where
         // so mid-loop flushes can borrow the worker.
         let mut ids = std::mem::take(&mut self.ids);
         (self.map_event)(chunk, &mut ids);
+        if !ids.len().is_multiple_of(chunk.len()) {
+            let detail = format!(
+                "{} counter ids for {} events: not a fixed per-event stride",
+                ids.len(),
+                chunk.len()
+            );
+            self.ids = ids;
+            return self.fault(ClusterError::Protocol { context: "map_event", detail });
+        }
         let stride = ids.len() / chunk.len();
-        debug_assert_eq!(stride * chunk.len(), ids.len(), "mapping must emit a fixed stride");
         let mut ok = true;
         for e in 0..keep {
             let mut rest = &ids[e * stride..(e + 1) * stride];
             while let Some((pos, up)) = sweep(self.protocols, &mut self.states, rest, &mut self.rng)
             {
-                self.batch.push((rest[pos], up));
+                self.push_update(rest[pos], up);
                 rest = &rest[pos + 1..];
             }
             encode_event(&mut self.batch, &mut self.pkt);
-            if !hold && self.pkt.len() >= FLUSH_BYTES && !self.flush() {
+            if !hold && self.pkt.len() + self.report_bytes >= FLUSH_BYTES && !self.flush() {
                 ok = false;
                 break;
             }
@@ -529,9 +588,9 @@ where
     /// applied everything the site delivered when it learns of the death —
     /// then wipe all protocol state into the loss ledger and go dark.
     fn crash(&mut self) -> bool {
+        self.seal();
         let partial = Bytes::copy_from_slice(&self.pkt[..self.pkt.len() / 2]);
         self.pkt.clear();
-        self.batch.clear();
         let lost = &mut self.ledger.lost;
         drain(self.protocols, &mut self.states, |c, count| lost[c] += count);
         self.dying = false;
@@ -570,9 +629,6 @@ where
         if self.dead {
             self.ledger.close_epoch(vec![0; self.protocols.len()]);
             return true;
-        }
-        if !self.batch.is_empty() {
-            encode_event(&mut self.batch, &mut self.pkt);
         }
         if !self.flush() {
             return false;
@@ -674,10 +730,8 @@ where
         if self.batch.is_empty() {
             return true;
         }
-        // Sync replies are time-critical control traffic: encode
-        // them behind whatever updates are already buffered and
-        // force the flush.
-        encode_event(&mut self.batch, &mut self.pkt);
+        // Sync replies are time-critical control traffic: the flush
+        // encodes them behind whatever is already buffered and ships it.
         self.flush()
     }
 }
@@ -1811,7 +1865,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsbn_counters::wire::{frame_len, WireError};
+    use dsbn_counters::wire::WireError;
     use dsbn_counters::{ExactProtocol, HyzProtocol};
     use dsbn_datagen::chunk_events;
 
@@ -2393,6 +2447,137 @@ mod tests {
                 assert_eq!(swept[c] + site.ledger.lost[c], tally[c], "keep {keep} counter {c}");
             }
         }
+    }
+
+    #[test]
+    fn ragged_map_event_is_a_typed_error() {
+        // A `map_event` whose slab is not a whole number of events — one id
+        // too many, or fewer ids than events (stride 0) — used to drop the
+        // trailing ids silently in release (an `Ok` run missing
+        // increments) and panic the site in debug.
+        fn one_extra(chunk: &EventChunk, ids: &mut Vec<u32>) {
+            tiny_map(chunk, ids);
+            ids.push(1);
+        }
+        fn one_short(chunk: &EventChunk, ids: &mut Vec<u32>) {
+            tiny_map(chunk, ids);
+            ids.truncate(1);
+        }
+        let protocols = vec![ExactProtocol, ExactProtocol];
+        let config = ClusterConfig::new(2, 3).with_chunk(8);
+        for map in [one_extra as fn(&EventChunk, &mut Vec<u32>), one_short] {
+            let events = (0..100u64).map(|i| vec![(i % 2) as usize]);
+            let err = run_cluster(&protocols, &config, chunk_events(events, 8), map).unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::Protocol { context: "map_event", .. }),
+                "got {err:?}"
+            );
+        }
+    }
+
+    /// Counters `0..6` forward every arrival as an `Increment` (exact);
+    /// the rest report their local count on every arrival, like HYZ at
+    /// `p = 1`. One chunk then carries both kinds of update.
+    #[derive(Clone, Copy)]
+    struct Mixed {
+        reports: bool,
+    }
+
+    impl CounterProtocol for Mixed {
+        type Site = u64;
+        type Coord = ();
+        fn new_site(&self) -> u64 {
+            0
+        }
+        fn new_coord(&self, _k: usize) {}
+        fn increment<R: Rng + ?Sized>(&self, site: &mut u64, _rng: &mut R) -> Option<UpMsg> {
+            *site += 1;
+            Some(if self.reports {
+                UpMsg::Report { round: 0, value: *site }
+            } else {
+                UpMsg::Increment
+            })
+        }
+        fn handle_down<R: Rng + ?Sized>(
+            &self,
+            _: &mut u64,
+            _: DownMsg,
+            _: &mut R,
+        ) -> Option<UpMsg> {
+            None
+        }
+        fn handle_up(&self, _: &mut (), _: usize, _: UpMsg) -> Option<DownMsg> {
+            None
+        }
+        fn estimate(&self, _: &()) -> f64 {
+            0.0
+        }
+        fn site_local_count(&self, site: &u64) -> u64 {
+            *site
+        }
+    }
+
+    #[test]
+    fn a_packet_carries_one_report_per_counter_and_every_increment() {
+        // Ten events touching counters 0..8: counters 6 and 7 report on
+        // every touch, so each has ten reports in the chunk; the packet
+        // carries the last of each (value 10) behind the events'
+        // increments, which are encoded exactly as `encode_event` encodes
+        // each event's batch.
+        let mut protocols = vec![Mixed { reports: false }; 6];
+        protocols.extend([Mixed { reports: true }; 2]);
+        let mut chunk = EventChunk::new();
+        for _ in 0..10 {
+            chunk.push(&[0]);
+        }
+        let (up_tx, up_rx) = unbounded::<UpPacket>();
+        let mut site = SiteWorker::new(0, &protocols, &wide8, up_tx, 1, 8);
+        assert!(site.ingest(&chunk, 10, false));
+        let Ok(UpPacket::Updates { payload, .. }) = up_rx.try_recv() else {
+            panic!("expected one update packet");
+        };
+        assert!(up_rx.try_recv().is_err(), "more than one packet");
+        let mut expect = BytesMut::new();
+        for _ in 0..10 {
+            encode_event(&mut (0..6).map(|c| (c, UpMsg::Increment)).collect(), &mut expect);
+        }
+        for counter in [6, 7] {
+            encode(&Frame::Up { counter, msg: UpMsg::Report { round: 0, value: 10 } }, &mut expect);
+        }
+        assert_eq!(payload[..], expect[..]);
+        assert!(site.reports.is_empty() && site.slot.iter().all(|&s| s == 0));
+    }
+
+    #[test]
+    fn a_packet_past_the_u16_batch_prefix_round_trips() {
+        // 70 000 counters, each reporting once in one event: more pending
+        // reports than an `UpBatch` section can count, so they ship as
+        // plain frames and every one decodes.
+        let n = 70_000u32;
+        let protocols = vec![HyzProtocol::new(0.1); n as usize];
+        let all = |chunk: &EventChunk, ids: &mut Vec<u32>| {
+            ids.clear();
+            for _ in 0..chunk.len() {
+                ids.extend(0..n);
+            }
+        };
+        let mut chunk = EventChunk::new();
+        chunk.push(&[0]);
+        let (up_tx, up_rx) = unbounded::<UpPacket>();
+        let mut site = SiteWorker::new(0, &protocols, &all, up_tx, 1, 8);
+        assert!(site.ingest(&chunk, 1, false));
+        let Ok(UpPacket::Updates { payload, .. }) = up_rx.try_recv() else {
+            panic!("expected one update packet");
+        };
+        assert!(up_rx.try_recv().is_err(), "more than one packet");
+        let mut seen = 0u32;
+        visit_packet(payload, |item| {
+            let report = UpMsg::Report { round: 0, value: 1 };
+            assert_eq!(item, WireItem::Up { counter: seen, msg: report });
+            seen += 1;
+        })
+        .unwrap();
+        assert_eq!(seen, n);
     }
 
     #[test]
