@@ -2,7 +2,7 @@
 //!
 //! Stands in for the paper's AWS EC2 deployment (§VI-A): one OS thread per
 //! site plus a coordinator, communicating over a pluggable [`Transport`]
-//! (crossbeam channels by default, Unix-domain sockets via
+//! (in-process links by default, Unix-domain sockets via
 //! [`crate::transport::UdsTransport`]) with genuinely asynchronous,
 //! possibly out-of-order message delivery — exactly the conditions the
 //! round-tagged counter protocols are built for. See DESIGN.md for the
@@ -11,17 +11,18 @@
 //!
 //! Ingest is *chunked end to end* (DESIGN.md §2–§3): the driver re-chunks
 //! the incoming [`EventChunk`] stream into per-site chunks of
-//! [`ClusterConfig::chunk`] events, so one channel send carries a whole
-//! slab of events instead of one heap-allocated `Vec` each; a site sweeps
-//! each event's counters with [`dsbn_counters::protocol::sweep`] — the
-//! kernel the simulator runs too (DESIGN.md §3.4) — and accumulates the
-//! [`dsbn_counters::wire::encode_event`] sections into one reused buffer,
-//! flushed as a single multi-event packet on a size / chunk-boundary
-//! policy; the coordinator decodes each packet in one allocation-free pass.
-//! Control traffic (sync replies, flush acks, epoch settlements) always
-//! *forces a flush first*, which keeps the FIFO attribution and quiescence
-//! arguments of DESIGN.md §3/§5 intact. `chunk = 1` — the default — is the
-//! per-event pipeline as a degenerate case.
+//! [`ClusterConfig::chunk`] events, so one feed push carries a whole slab
+//! of events instead of one heap-allocated `Vec` each; a site blocks on one
+//! inbox for chunks and broadcasts alike, sweeps each event's counters with
+//! [`dsbn_counters::protocol::sweep`] — the kernel the simulator runs too
+//! (DESIGN.md §3.4) — and accumulates the events' increments, plus at most
+//! one report per counter (a later one supersedes the pending one), into
+//! one multi-event packet, flushed at the chunk boundary or on size; the
+//! coordinator decodes each packet in one allocation-free pass. Control
+//! traffic (sync replies, flush acks, epoch settlements) always *forces a
+//! flush first*, which keeps the FIFO attribution and quiescence arguments
+//! of DESIGN.md §3/§5 intact. `chunk = 1` — the default — is the per-event
+//! pipeline as a degenerate case.
 //!
 //! There is one coordinator thread (DESIGN.md §6.2), as in the paper's
 //! deployment: it keeps everything order-sensitive — accounting, broadcast
@@ -30,14 +31,15 @@
 //!
 //! [`MessageStats::bytes`] measures frame bytes that actually crossed a
 //! link; `MessageStats::packets` counts the physical bundled sends (so
-//! chunking lowers `packets` but never `bytes` or the paper's per-update
-//! `up/down_messages` accounting). Transport envelope overhead (UDS length
-//! prefixes) is never counted, so accounting is transport-invariant.
+//! chunking lowers `packets`, and — through supersede — the reports that
+//! leave a site, but never an increment). Transport envelope overhead (UDS
+//! length prefixes) is never counted, so accounting is
+//! transport-invariant.
 //!
 //! A run ends with a deterministic *quiescence handshake* (DESIGN.md §3.2)
 //! instead of a wall-clock drain: after every site has exhausted its
 //! stream, the coordinator repeatedly issues `Flush(epoch)` barriers down
-//! the (FIFO) site channels and waits for all `k` acks; an epoch during
+//! the (FIFO) down lanes and waits for all `k` acks; an epoch during
 //! which the coordinator issued no new broadcast proves that no reply can
 //! still be in flight, so shutdown never races in-flight sync traffic and
 //! never depends on timing.
@@ -56,10 +58,11 @@ use crate::metrics::MessageStats;
 use crate::partition::{Partitioner, SiteAssigner};
 use crate::snapshot::{CounterSnapshot, SnapshotHub};
 use crate::transport::{
-    ChannelTransport, ClusterError, DownPacket, DownSender, Fabric, Transport, UpPacket, UpSender,
+    site_inbox, ChannelTransport, ClusterError, DownPacket, DownSender, Fabric, SiteFeed,
+    SiteInbox, SiteInput, Transport, UpPacket, UpSender,
 };
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use dsbn_counters::epoch::EpochRoller;
 use dsbn_counters::msg::{DownMsg, UpMsg};
 use dsbn_counters::protocol::{drain, sweep, CounterProtocol};
@@ -77,7 +80,7 @@ use std::time::{Duration, Instant};
 /// local counts (epoch settlements are the durable checkpoints bounding
 /// the loss); arrivals routed to the site while it is down are lost and
 /// accounted in [`ChurnReport`]. Kill points are driver-side event counts
-/// and land *exactly*: the kill order rides the driver→site event link
+/// and land *exactly*: the kill order rides the driver→site feed lane
 /// in-band (FIFO with the arrivals), so the site crashes after ingesting
 /// precisely the events routed to it before `kill_at` — every scheduled
 /// kill fires, on every interleaving. Revives detour through the
@@ -321,19 +324,6 @@ impl ClusterReport {
         }
         self.events as f64 / secs
     }
-}
-
-/// What the driver feeds a site's ingest link: event slabs, or the in-band
-/// kill marker. Riding the same FIFO as the arrivals makes a fault
-/// schedule's kill point *exact* — the site crashes after ingesting
-/// precisely the events routed to it before `kill_at`, on every
-/// interleaving — where a kill detoured through the coordinator's down
-/// link would race the site draining its event queue (a fast site could
-/// finish its whole stream before the order round-tripped, and the kill
-/// would silently miss).
-enum SiteFeed {
-    Chunk(EventChunk),
-    Kill,
 }
 
 /// A site's books, handed back to the driver at exit: the inputs of the
@@ -845,7 +835,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     }
 
     /// Driver-injected kill order: mark the site dying. The kill itself
-    /// rides the driver→site event link in-band (`SiteFeed::Kill`, FIFO
+    /// rides the driver→site feed lane in-band (`SiteFeed::Kill`, FIFO
     /// with the arrivals — exact kill points); this marker only sequences
     /// revives, deferring any that arrive before the site's terminal
     /// `Crashed` marker does. A kill for a site already dying or dead is
@@ -1383,7 +1373,7 @@ fn run_coordinator<P: CounterProtocol, D: DownSender>(
     let bad = |detail: String| ClusterError::Protocol { context: "coordinator", detail };
     // Phase 1: serve traffic until every site reports end-of-stream.
     // Every RollRequest is enqueued by the driver before it closes the
-    // event channels, so all of them are dequeued before the k-th Done
+    // feed lanes, so all of them are dequeued before the k-th Done
     // (FIFO merged inbox).
     let mut done = 0usize;
     while done < c.core.k {
@@ -1489,64 +1479,47 @@ fn check_config(config: &ClusterConfig) -> Result<(), ClusterError> {
 /// in `catch_unwind` and turn an escaped panic — e.g. from a
 /// caller-supplied protocol or `map_event` — into a typed in-band
 /// [`ClusterError::WorkerPanicked`] instead of a silently discarded join.
-fn run_site<P, F, U>(
-    worker: &mut SiteWorker<'_, P, F, U>,
-    down_rx: &Receiver<DownPacket>,
-    event_rx: &Receiver<SiteFeed>,
-) where
+/// The inbox is dropped on the way out, which releases a driver blocked on
+/// the site's full feed lane.
+fn run_site<P, F, U>(worker: &mut SiteWorker<'_, P, F, U>, inbox: SiteInbox)
+where
     P: CounterProtocol,
     F: Fn(&EventChunk, &mut Vec<u32>),
     U: UpSender,
 {
-    loop {
-        crossbeam::channel::select! {
-            recv(down_rx) -> pkt => match pkt {
-                Ok(pkt) => {
-                    if !worker.handle_down(pkt) {
-                        return;
-                    }
+    while let Some(input) = inbox.recv() {
+        let ok = match input {
+            SiteInput::Down(pkt) => worker.handle_down(pkt),
+            SiteInput::Feed(SiteFeed::Chunk(chunk)) => {
+                if worker.dead {
+                    worker.ingest(&chunk, 0, false)
+                } else if worker.dying {
+                    worker.ingest(&chunk, chunk.len().div_ceil(2), true) && worker.crash()
+                } else {
+                    worker.ingest(&chunk, chunk.len(), false)
                 }
-                Err(_) => return,
-            },
-            recv(event_rx) -> chunk => match chunk {
-                Ok(SiteFeed::Chunk(chunk)) => {
-                    let ok = if worker.dead {
-                        worker.ingest(&chunk, 0, false)
-                    } else if worker.dying {
-                        worker.ingest(&chunk, chunk.len().div_ceil(2), true) && worker.crash()
-                    } else {
-                        worker.ingest(&chunk, chunk.len(), false)
-                    };
-                    if !ok {
-                        return;
-                    }
-                }
-                // The in-band kill order: arm the crash. It lands half-way
-                // through the next chunk (tearing its packet mid-frame) or
-                // at end-of-stream, whichever comes first; a site already
-                // dead has nothing left to kill (fail-stop).
-                Ok(SiteFeed::Kill) => worker.dying = !worker.dead,
-                Err(_) => {
-                    // Stream finished. A site still holding a kill order
-                    // crashes here, with an empty partial packet (every
-                    // chunk flushed at its boundary), so the coordinator
-                    // always gets the terminal `Crashed` marker before
-                    // this site's `Done` — the FIFO invariant phase 2
-                    // relies on. Then announce and keep serving
-                    // broadcasts and flush barriers until the coordinator
-                    // closes our down link.
-                    if worker.dying && !worker.crash() {
-                        return;
-                    }
-                    let _ = worker.up_tx.send(UpPacket::Done);
-                    while let Ok(pkt) = down_rx.recv() {
-                        if !worker.handle_down(pkt) {
-                            return;
-                        }
-                    }
-                    return;
-                }
-            },
+            }
+            // The in-band kill order: arm the crash. It lands half-way
+            // through the next chunk (tearing its packet mid-frame) or at
+            // end-of-stream, whichever comes first; a site already dead has
+            // nothing left to kill (fail-stop).
+            SiteInput::Feed(SiteFeed::Kill) => {
+                worker.dying = !worker.dead;
+                true
+            }
+            // Stream finished. A site still holding a kill order crashes
+            // here, with an empty partial packet (every chunk flushed at its
+            // boundary), so the coordinator always gets the terminal
+            // `Crashed` marker before this site's `Done` — the FIFO
+            // invariant phase 2 relies on. Then announce, and keep serving
+            // broadcasts and flush barriers until the coordinator closes
+            // the down lane.
+            SiteInput::End => {
+                (!worker.dying || worker.crash()) && worker.up_tx.send(UpPacket::Done).is_ok()
+            }
+        };
+        if !ok {
+            return;
         }
     }
 }
@@ -1602,23 +1575,20 @@ where
     let (k, ring_cap) = (config.k, config.epoch_ring);
     let start = Instant::now();
 
-    let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } =
-        transport.connect(k, UP_DEPTH * k + 1)?;
-
-    let mut event_txs: Vec<Sender<SiteFeed>> = Vec::with_capacity(k);
-    let mut event_rxs: Vec<Receiver<SiteFeed>> = Vec::with_capacity(k);
+    let (mut inboxes, mut down_lanes, mut feeds) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..k {
-        let (tx, rx) = bounded::<SiteFeed>(FEED_DEPTH);
-        event_txs.push(tx);
-        event_rxs.push(rx);
+        let (inbox, down_lane, feed) = site_inbox(FEED_DEPTH);
+        inboxes.push(inbox);
+        down_lanes.push(down_lane);
+        feeds.push(feed);
     }
+    let Fabric { site_ups, driver_up, coord_rx, coord_downs, pumps } =
+        transport.connect(down_lanes, UP_DEPTH * k + 1)?;
     let (state_tx, state_rx) = unbounded::<SiteLedger>();
 
     let result = std::thread::scope(|scope| {
         // --- site threads ---
-        for (site_id, ((up_tx, down_rx), event_rx)) in
-            site_ups.into_iter().zip(site_downs).zip(event_rxs).enumerate()
-        {
+        for (site_id, (up_tx, inbox)) in site_ups.into_iter().zip(inboxes).enumerate() {
             let state_tx = state_tx.clone();
             let map_event = &map_event;
             let seed = config.seed;
@@ -1630,7 +1600,7 @@ where
                 // so the coordinator aborts the run with it instead of the
                 // driver discarding a poisoned join.
                 let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_site(&mut worker, &down_rx, &event_rx);
+                    run_site(&mut worker, inbox);
                 }))
                 .is_err();
                 if panicked {
@@ -1664,15 +1634,16 @@ where
         // Incoming chunks are re-chunked per destination site: each event
         // is routed by the partitioner and appended to that site's pending
         // chunk, which ships when it reaches `config.chunk` events. One
-        // channel send thus carries a whole slab of events; `chunk = 1`
-        // degenerates to one send per event.
+        // feed push thus carries a whole slab of events; `chunk = 1`
+        // degenerates to one push per event. A full feed lane blocks the
+        // driver: it is paced by the slowest site.
         let mut assigner = SiteAssigner::new(config.partitioner, k);
         let mut driver_rng = SmallRng::seed_from_u64(config.seed ^ 0xd1f7);
         // Flatten the fault schedule into event-ordered injections. Every
         // injection rides the driver's up link as an `Inject` marker —
         // FIFO against `RollRequest`s and ahead of the channel close, so
         // the coordinator handles every one of them in phase 1 — and a
-        // kill *additionally* rides the target site's event link as an
+        // kill *additionally* rides the target site's feed lane as an
         // in-band `SiteFeed::Kill` (after flushing the site's pending
         // chunk), so the crash lands at the exact kill point regardless
         // of scheduling: the site crashes after ingesting precisely the
@@ -1692,18 +1663,18 @@ where
         let mut n_events = 0u64;
         let mut builders: Vec<EventChunk> = (0..k).map(|_| EventChunk::new()).collect();
         // Send a site's pending chunk (if any) and start its next one;
-        // `false` when the site's event link is gone.
+        // `false` when the site has left (its inbox is gone).
         let ship = |site: usize, builder: &mut EventChunk| {
             if builder.is_empty() {
                 return true;
             }
             let next = EventChunk::with_capacity(builder.n_vars(), config.chunk);
-            event_txs[site].send(SiteFeed::Chunk(std::mem::replace(builder, next))).is_ok()
+            feeds[site].send(SiteFeed::Chunk(std::mem::replace(builder, next))).is_ok()
         };
         // Fire one injection (see above); `false` when a link is gone.
         let inject = |site: usize, kill: bool, builder: &mut EventChunk| {
             driver_up.send(UpPacket::Inject { site, kill }).is_ok()
-                && (!kill || (ship(site, builder) && event_txs[site].send(SiteFeed::Kill).is_ok()))
+                && (!kill || (ship(site, builder) && feeds[site].send(SiteFeed::Kill).is_ok()))
         };
         // The stream loop runs caller code (`events.next()`), so it is
         // guarded like every other role: a panic in it must still reach the
@@ -1729,10 +1700,11 @@ where
                     // count, so it requests epoch rolls — after flushing every
                     // pending chunk, so all boundary events are on their way
                     // first. The roll broadcast may still overtake events
-                    // queued on the (separate) event channels, so cluster
-                    // epoch boundaries are approximate — within channel depth
-                    // of `B` — while the per-epoch exact oracle stays exact
-                    // (sites snapshot at their own roll).
+                    // queued on the feed lanes (the down lane is served
+                    // first), so cluster epoch boundaries are approximate —
+                    // `B ± O(k · FEED_DEPTH · chunk)` — while the per-epoch
+                    // exact oracle stays exact (sites snapshot at their own
+                    // roll).
                     if let Some(b) = config.epoch_boundary {
                         if n_events.is_multiple_of(b) {
                             for (site, builder) in builders.iter_mut().enumerate() {
@@ -1754,7 +1726,7 @@ where
             // than silently vanishing when the stream is shorter than their
             // thresholds; they precede the driver-channel close, keeping them
             // in phase 1 — and a late kill's in-band marker precedes the
-            // event-channel close, so the site crashes at end-of-stream (with
+            // feed-lane close, so the site crashes at end-of-stream (with
             // nothing buffered, an empty partial). Every scheduled kill lands.
             for &(_, site, kill) in &injections[next_inject..] {
                 let _ = inject(site, kill, &mut builders[site]);
@@ -1762,9 +1734,7 @@ where
         }))
         .is_err();
         drop(driver_up);
-        for tx in event_txs.drain(..) {
-            drop(tx); // closes site event streams
-        }
+        drop(feeds); // end-of-stream on every site's feed lane
 
         // A coordinator panic is converted to a typed error inside the
         // thread; a panicked join here (out-of-memory in the unwind path,
@@ -1865,6 +1835,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::DownLane;
     use dsbn_counters::wire::WireError;
     use dsbn_counters::{ExactProtocol, HyzProtocol};
     use dsbn_datagen::chunk_events;
@@ -2263,11 +2234,8 @@ mod tests {
 
     /// A coordinator wired to nowhere: `send_down_all` tolerates closed
     /// links, so the tests can poke the decode paths directly.
-    fn lone_coord(
-        protocols: &[ExactProtocol],
-        k: usize,
-    ) -> Coord<'_, ExactProtocol, Sender<DownPacket>> {
-        let down_txs = (0..k).map(|_| unbounded::<DownPacket>().0).collect();
+    fn lone_coord(protocols: &[ExactProtocol], k: usize) -> Coord<'_, ExactProtocol, DownLane> {
+        let down_txs = (0..k).map(|_| site_inbox(1).1).collect();
         Coord::new(CtlCore::new(protocols, k, 8, down_txs, None, 0))
     }
 

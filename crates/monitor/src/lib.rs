@@ -12,12 +12,13 @@
 //!   instantaneous delivery; drives the paper's simulated experiments.
 //! - [`cluster::run_cluster`] — a live runtime with one OS thread per site
 //!   and a coordinator thread over a pluggable [`transport::Transport`]
-//!   (in-process crossbeam channels by default, Unix-domain sockets via
+//!   (in-process links by default, Unix-domain sockets via
 //!   [`transport::UdsTransport`]; the stand-in for the paper's EC2
 //!   cluster; see DESIGN.md §3/§6), with chunked cross-event ingest
-//!   (`EventChunk` slabs on the event channels, multi-event wire packets
-//!   on the up channel, flush-before-control coalescing), the
-//!   `dsbn_counters::wire` frame encoding on every channel send, and a
+//!   (`EventChunk` slabs on bounded feed lanes, one blocking inbox per
+//!   site, multi-event wire packets with one report per counter on the
+//!   up channel, flush-before-control coalescing), the
+//!   `dsbn_counters::wire` frame encoding on every link, and a
 //!   deterministic quiescence handshake at shutdown (no wall-clock drain
 //!   timeouts). Decode failures surface as typed
 //!   [`transport::ClusterError`]s, never panics.
@@ -47,6 +48,6 @@ pub use snapshot::{CounterSnapshot, SnapshotHub};
 #[cfg(unix)]
 pub use transport::UdsTransport;
 pub use transport::{
-    ChannelTransport, ClusterError, DownPacket, DownSender, Fabric, LinkClosed, Transport,
-    UpPacket, UpSender,
+    ChannelTransport, ClusterError, DownLane, DownPacket, DownSender, Fabric, LinkClosed,
+    Transport, UpPacket, UpSender,
 };

@@ -3,24 +3,27 @@
 //! The cluster's thread/channel topology (DESIGN.md §1) has three link
 //! classes: per-site *up* links into one merged coordinator inbox, per-site
 //! *down* links for broadcasts, and the in-process control plane the stream
-//! driver uses (roll requests ride the same merged inbox). [`Transport`]
-//! abstracts how the up/down links are realized while keeping the receive
-//! ends concrete crossbeam channels — the site loop still `select!`s over
-//! its down link and its event feed, and the coordinator still drains one
-//! merged inbox, whatever carries the bytes underneath.
+//! driver uses (roll requests ride the same merged inbox, event chunks and
+//! kill orders each site's feed). [`Transport`] abstracts how the up/down
+//! links are realized while keeping the receive ends fixed: the
+//! coordinator drains one merged channel, and each site blocks on ONE
+//! inbox with two lanes under one lock — the coordinator's down lane,
+//! unbounded and served first, and the driver's feed lane, bounded —
+//! whatever carries the bytes underneath.
 //!
 //! Two implementations ship:
 //!
 //! - [`ChannelTransport`] — the in-process default: the links *are* the
-//!   crossbeam channels (one bounded MPSC up, one unbounded channel down
-//!   per site), zero extra copies or threads.
+//!   receive ends (one bounded MPSC channel up; down, the coordinator
+//!   pushes straight into each site's [`DownLane`]), zero extra copies or
+//!   threads.
 //! - [`UdsTransport`] — every site⇄coordinator link is a Unix-domain
 //!   socket pair carrying the envelope codec below, with per-link pump
-//!   threads bridging socket and channel. The frame payloads cross a real
-//!   kernel byte stream, proving the `dsbn_counters::wire` codec (and the
-//!   runtime's error handling) works cross-process; byte/packet accounting
-//!   is identical because [`crate::MessageStats`] counts frame payloads,
-//!   not envelope overhead.
+//!   threads bridging socket and receive end. The frame payloads cross a
+//!   real kernel byte stream, proving the `dsbn_counters::wire` codec (and
+//!   the runtime's error handling) works cross-process; byte/packet
+//!   accounting is identical because [`crate::MessageStats`] counts frame
+//!   payloads, not envelope overhead.
 //!
 //! # Envelope codec (UDS)
 //!
@@ -54,11 +57,14 @@
 //! run with a typed [`ClusterError`].
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use dsbn_counters::wire::WireError;
+use dsbn_datagen::EventChunk;
+use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Why a cluster run failed. Replaces the old panicking decode paths: any
@@ -232,16 +238,197 @@ impl UpSender for Sender<UpPacket> {
     }
 }
 
-impl DownSender for Sender<DownPacket> {
+/// What the driver feeds a site: event slabs, or the in-band kill marker.
+/// Riding the same FIFO lane as the arrivals makes a fault schedule's kill
+/// point *exact* — the site crashes after ingesting precisely the events
+/// routed to it before `kill_at`, on every interleaving — where a kill
+/// detoured through the coordinator's down link would race the site
+/// draining its feed (a fast site could finish its whole stream before the
+/// order round-tripped, and the kill would silently miss).
+#[derive(Debug)]
+pub(crate) enum SiteFeed {
+    Chunk(EventChunk),
+    Kill,
+}
+
+/// One item a site takes from its inbox.
+#[derive(Debug)]
+pub(crate) enum SiteInput {
+    /// From the coordinator.
+    Down(DownPacket),
+    /// From the driver.
+    Feed(SiteFeed),
+    /// The driver closed the feed and every item in it has been taken;
+    /// delivered once, after which only down packets follow.
+    End,
+}
+
+/// A site's inbox state: both lanes under one lock, so one blocking
+/// [`SiteInbox::recv`] serves them in priority order without polling.
+struct Lanes {
+    down: VecDeque<DownPacket>,
+    feed: VecDeque<SiteFeed>,
+    /// The coordinator side ([`DownLane`]) is alive.
+    down_open: bool,
+    /// The driver side ([`Feeder`]) is alive.
+    feed_open: bool,
+    /// [`SiteInput::End`] has been handed out.
+    ended: bool,
+    /// The site dropped its [`SiteInbox`]: every push fails.
+    site_gone: bool,
+}
+
+struct Inbox {
+    lanes: Mutex<Lanes>,
+    feed_depth: usize,
+    /// Signalled when an item arrives or a sender side closes.
+    ready: Condvar,
+    /// Signalled when the feed lane frees a slot or the site leaves.
+    space: Condvar,
+}
+
+impl Inbox {
+    fn lock(&self) -> MutexGuard<'_, Lanes> {
+        // A poisoned lock means a thread panicked holding it; every
+        // critical section here is a queue operation that leaves the lanes
+        // consistent, so the state is still valid.
+        self.lanes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// A new site inbox whose feed lane holds `feed_depth` items: the site's
+/// receive end, the coordinator's down lane, and the driver's feed lane.
+pub(crate) fn site_inbox(feed_depth: usize) -> (SiteInbox, DownLane, Feeder) {
+    let inbox = Arc::new(Inbox {
+        lanes: Mutex::new(Lanes {
+            down: VecDeque::new(),
+            feed: VecDeque::new(),
+            down_open: true,
+            feed_open: true,
+            ended: false,
+            site_gone: false,
+        }),
+        feed_depth,
+        ready: Condvar::new(),
+        space: Condvar::new(),
+    });
+    (SiteInbox(Arc::clone(&inbox)), DownLane(Arc::clone(&inbox)), Feeder(inbox))
+}
+
+/// A site's receive end of its inbox.
+pub(crate) struct SiteInbox(Arc<Inbox>);
+
+impl SiteInbox {
+    /// Block until there is something to do: a down packet (always served
+    /// first — the coordinator's broadcasts and barriers never wait behind
+    /// queued chunks), else the next feed item, else — once the driver has
+    /// closed the feed and it is drained — [`SiteInput::End`], once.
+    /// `None` when the coordinator side is gone and its lane drained: the
+    /// run is over, whatever the feed still holds.
+    pub(crate) fn recv(&self) -> Option<SiteInput> {
+        let mut lanes = self.0.lock();
+        loop {
+            if let Some(pkt) = lanes.down.pop_front() {
+                return Some(SiteInput::Down(pkt));
+            }
+            if !lanes.down_open {
+                return None;
+            }
+            if let Some(item) = lanes.feed.pop_front() {
+                drop(lanes);
+                self.0.space.notify_one();
+                return Some(SiteInput::Feed(item));
+            }
+            if !lanes.feed_open && !lanes.ended {
+                lanes.ended = true;
+                return Some(SiteInput::End);
+            }
+            lanes = self.0.ready.wait(lanes).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+impl Drop for SiteInbox {
+    fn drop(&mut self) {
+        self.0.lock().site_gone = true;
+        self.0.space.notify_one();
+    }
+}
+
+/// The coordinator → site lane of a site's inbox: unbounded, so a push
+/// never blocks — the coordinator must never wait on a site, or a site
+/// blocked on its own up-send would deadlock with it (DESIGN.md §1). The
+/// coordinator holds it directly under [`ChannelTransport`]; a transport
+/// that crosses a socket hands it to the pump that reads the site's end.
+/// Dropping it closes the lane: the site stops once it has drained it.
+pub struct DownLane(Arc<Inbox>);
+
+impl DownSender for DownLane {
     fn send(&mut self, pkt: DownPacket) -> Result<(), LinkClosed> {
-        Sender::send(self, pkt).map_err(|_| LinkClosed)
+        let mut lanes = self.0.lock();
+        if lanes.site_gone {
+            return Err(LinkClosed);
+        }
+        lanes.down.push_back(pkt);
+        drop(lanes);
+        self.0.ready.notify_one();
+        Ok(())
+    }
+}
+
+impl Drop for DownLane {
+    fn drop(&mut self) {
+        self.0.lock().down_open = false;
+        self.0.ready.notify_one();
+    }
+}
+
+/// The driver → site lane of a site's inbox, bounded at its depth: the
+/// driver blocks while it is full, so it is paced by the site. Dropping it
+/// is end-of-stream.
+pub(crate) struct Feeder(Arc<Inbox>);
+
+impl Feeder {
+    /// Queue one feed item, waiting for a free slot; `Err` once the site
+    /// has dropped its inbox (it stopped — the run is aborting).
+    pub(crate) fn send(&self, item: SiteFeed) -> Result<(), LinkClosed> {
+        let mut lanes = self.0.lock();
+        while !lanes.site_gone && lanes.feed.len() >= self.0.feed_depth {
+            lanes = self.0.space.wait(lanes).unwrap_or_else(|e| e.into_inner());
+        }
+        if lanes.site_gone {
+            return Err(LinkClosed);
+        }
+        lanes.feed.push_back(item);
+        drop(lanes);
+        self.0.ready.notify_one();
+        Ok(())
+    }
+
+    /// [`Self::send`] without the wait: hands the item back when the lane
+    /// is full or the site is gone.
+    #[cfg(test)]
+    fn try_send(&self, item: SiteFeed) -> Result<(), SiteFeed> {
+        let mut lanes = self.0.lock();
+        if lanes.site_gone || lanes.feed.len() >= self.0.feed_depth {
+            return Err(item);
+        }
+        lanes.feed.push_back(item);
+        Ok(())
+    }
+}
+
+impl Drop for Feeder {
+    fn drop(&mut self) {
+        self.0.lock().feed_open = false;
+        self.0.ready.notify_one();
     }
 }
 
 /// The connected link fabric for one run: what `run_cluster_on` wires into
-/// its threads. Receive ends are always concrete channels (transports that
-/// cross a process or socket boundary pump into them); send ends are the
-/// transport's own types.
+/// its threads. The coordinator's receive end is a channel (transports
+/// that cross a process or socket boundary pump into it, as they pump into
+/// the sites' [`DownLane`]s); send ends are the transport's own types.
 pub struct Fabric<U, D> {
     /// Per-site up senders, moved into the site threads.
     pub site_ups: Vec<U>,
@@ -253,8 +440,6 @@ pub struct Fabric<U, D> {
     pub coord_rx: Receiver<UpPacket>,
     /// Per-site down senders, moved into the coordinator thread.
     pub coord_downs: Vec<D>,
-    /// Per-site down receivers, moved into the site threads.
-    pub site_downs: Vec<Receiver<DownPacket>>,
     /// Transport pump threads to join after the run's thread scope exits
     /// (they terminate once both ends of their links are dropped).
     pub pumps: Vec<JoinHandle<()>>,
@@ -267,46 +452,40 @@ pub trait Transport {
     /// Coordinator-side down sending half.
     type DownTx: DownSender + Send;
 
-    /// Build the link fabric for `k` sites. `capacity` bounds the merged
-    /// up inbox (backpressure); down links are always unbounded on the
-    /// receive side — the coordinator must never block on a broadcast, or
-    /// a site blocked on its own up-send would deadlock with it.
+    /// Build the link fabric for one site per entry of `down_lanes`:
+    /// `coord_downs[i]` must deliver, in order, into `down_lanes[i]` —
+    /// site `i`'s inbox. A lane never blocks, so neither may the
+    /// coordinator's send: it must never wait on a site, or a site blocked
+    /// on its own up-send would deadlock with it. `up_depth` bounds the
+    /// merged up inbox (backpressure).
     fn connect(
         &self,
-        k: usize,
-        capacity: usize,
+        down_lanes: Vec<DownLane>,
+        up_depth: usize,
     ) -> Result<Fabric<Self::UpTx, Self::DownTx>, ClusterError>;
 }
 
-/// The in-process default: links are crossbeam channels, exactly the
-/// topology the runtime used before the transport was abstracted.
+/// The in-process default: the up link is a bounded channel, and the
+/// coordinator pushes straight into each site's inbox.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChannelTransport;
 
 impl Transport for ChannelTransport {
     type UpTx = Sender<UpPacket>;
-    type DownTx = Sender<DownPacket>;
+    type DownTx = DownLane;
 
     fn connect(
         &self,
-        k: usize,
-        capacity: usize,
+        down_lanes: Vec<DownLane>,
+        up_depth: usize,
     ) -> Result<Fabric<Self::UpTx, Self::DownTx>, ClusterError> {
-        assert!(k > 0, "need at least one site");
-        let (up_tx, up_rx) = bounded::<UpPacket>(capacity);
-        let mut coord_downs = Vec::with_capacity(k);
-        let mut site_downs = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = unbounded::<DownPacket>();
-            coord_downs.push(tx);
-            site_downs.push(rx);
-        }
+        assert!(!down_lanes.is_empty(), "need at least one site");
+        let (up_tx, up_rx) = bounded::<UpPacket>(up_depth);
         Ok(Fabric {
-            site_ups: (0..k).map(|_| up_tx.clone()).collect(),
+            site_ups: down_lanes.iter().map(|_| up_tx.clone()).collect(),
             driver_up: up_tx,
             coord_rx: up_rx,
-            coord_downs,
-            site_downs,
+            coord_downs: down_lanes,
             pumps: Vec::new(),
         })
     }
@@ -510,9 +689,10 @@ impl Transport for UdsTransport {
 
     fn connect(
         &self,
-        k: usize,
-        capacity: usize,
+        down_lanes: Vec<DownLane>,
+        up_depth: usize,
     ) -> Result<Fabric<Self::UpTx, Self::DownTx>, ClusterError> {
+        let k = down_lanes.len();
         assert!(k > 0, "need at least one site");
         let sock = |what: &str| {
             UnixStream::pair().map_err(|e| ClusterError::Transport(format!("{what}: {e}")))
@@ -521,12 +701,11 @@ impl Transport for UdsTransport {
         // full inbox stops reading its socket, the kernel buffer fills,
         // and the site's writes block — the same backpressure as the
         // in-process bounded channel, stretched over the socket hop.
-        let (up_tx, up_rx) = bounded::<UpPacket>(capacity);
+        let (up_tx, up_rx) = bounded::<UpPacket>(up_depth);
         let mut site_ups = Vec::with_capacity(k);
         let mut coord_downs = Vec::with_capacity(k);
-        let mut site_downs = Vec::with_capacity(k);
         let mut pumps = Vec::with_capacity(2 * k);
-        for site in 0..k {
+        for (site, mut lane) in down_lanes.into_iter().enumerate() {
             let (site_up, coord_up) = sock("up socket pair")?;
             let (coord_down, site_down) = sock("down socket pair")?;
             site_ups.push(UdsUpSender { stream: site_up });
@@ -557,32 +736,30 @@ impl Transport for UdsTransport {
                 }
             }));
 
-            // Site-side down pump: socket → unbounded channel. Unbounded
-            // preserves the coordinator-never-blocks invariant across the
-            // hop: the pump drains the socket unconditionally, so a
-            // coordinator write can only wait for the pump to catch up,
-            // never on the site's progress.
-            let (tx, rx) = unbounded::<DownPacket>();
-            site_downs.push(rx);
+            // Site-side down pump: socket → the site's down lane. The lane
+            // never blocks, which preserves the coordinator-never-blocks
+            // invariant across the hop: the pump drains the socket
+            // unconditionally, so a coordinator write can only wait for
+            // the pump to catch up, never on the site's progress.
             pumps.push(std::thread::spawn(move || {
                 let mut r = BufReader::new(site_down);
                 loop {
                     match read_down_envelope(&mut r) {
                         Ok(Envelope::Eof) => break,
                         Ok(Envelope::Packet(pkt)) => {
-                            if tx.send(pkt).is_err() {
+                            if lane.send(pkt).is_err() {
                                 break;
                             }
                         }
                         Err(msg) => {
-                            let _ = tx.send(DownPacket::Fault(ClusterError::Transport(msg)));
+                            let _ = lane.send(DownPacket::Fault(ClusterError::Transport(msg)));
                             break;
                         }
                     }
                 }
             }));
         }
-        Ok(Fabric { site_ups, driver_up: up_tx, coord_rx: up_rx, coord_downs, site_downs, pumps })
+        Ok(Fabric { site_ups, driver_up: up_tx, coord_rx: up_rx, coord_downs, pumps })
     }
 }
 
@@ -605,25 +782,117 @@ mod tests {
         assert!(e.to_string().contains("worker panicked: site 3"));
     }
 
+    /// `k` site inboxes, wired like a run wires them: the receive ends, the
+    /// feed lanes (held so `recv` never reports end-of-stream) and the down
+    /// lanes a transport connects.
+    fn inboxes(k: usize) -> (Vec<SiteInbox>, Vec<Feeder>, Vec<DownLane>) {
+        let (mut ends, mut feeds, mut lanes) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..k {
+            let (end, lane, feed) = site_inbox(4);
+            ends.push(end);
+            feeds.push(feed);
+            lanes.push(lane);
+        }
+        (ends, feeds, lanes)
+    }
+
+    /// The next input, which must be a down packet.
+    fn down(inbox: &SiteInbox) -> DownPacket {
+        match inbox.recv() {
+            Some(SiteInput::Down(pkt)) => pkt,
+            other => panic!("expected a down packet, got {other:?}"),
+        }
+    }
+
+    fn chunk_of(n: usize) -> SiteFeed {
+        let mut chunk = EventChunk::new();
+        for i in 0..n {
+            chunk.push(&[i]);
+        }
+        SiteFeed::Chunk(chunk)
+    }
+
+    #[test]
+    fn inbox_serves_the_down_lane_before_queued_feed_items() {
+        let (inbox, mut lane, feed) = site_inbox(4);
+        feed.send(chunk_of(1)).unwrap();
+        feed.send(SiteFeed::Kill).unwrap();
+        lane.send(DownPacket::Flush(1)).unwrap();
+        assert!(matches!(down(&inbox), DownPacket::Flush(1)));
+        assert!(matches!(inbox.recv(), Some(SiteInput::Feed(SiteFeed::Chunk(c))) if c.len() == 1));
+        lane.send(DownPacket::Flush(2)).unwrap();
+        assert!(matches!(down(&inbox), DownPacket::Flush(2)));
+        assert!(matches!(inbox.recv(), Some(SiteInput::Feed(SiteFeed::Kill))));
+        // The coordinator gone ends the run, whatever the feed still holds.
+        feed.send(chunk_of(3)).unwrap();
+        drop(lane);
+        assert!(inbox.recv().is_none());
+    }
+
+    #[test]
+    fn feed_lane_refuses_a_push_at_its_depth() {
+        let (inbox, mut lane, feed) = site_inbox(2);
+        assert!(feed.try_send(SiteFeed::Kill).is_ok());
+        assert!(feed.try_send(chunk_of(1)).is_ok());
+        assert!(feed.try_send(SiteFeed::Kill).is_err(), "a third item at depth 2");
+        assert!(matches!(inbox.recv(), Some(SiteInput::Feed(SiteFeed::Kill))));
+        assert!(feed.try_send(SiteFeed::Kill).is_ok(), "the take freed a slot");
+        // The down lane has no depth: the coordinator never waits on a site.
+        for epoch in 0..1000 {
+            lane.send(DownPacket::Flush(epoch)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_driver_blocked_on_a_full_feed_is_released_when_the_site_leaves() {
+        // Whether the driver blocks before or after the site leaves, its
+        // send returns `Err` instead of waiting forever.
+        let (inbox, _lane, feed) = site_inbox(1);
+        feed.send(SiteFeed::Kill).unwrap();
+        let driver = std::thread::spawn(move || feed.send(SiteFeed::Kill));
+        drop(inbox);
+        assert_eq!(driver.join().unwrap(), Err(LinkClosed));
+    }
+
+    #[test]
+    fn end_of_stream_follows_the_drained_feed_and_the_down_lane_outlives_it() {
+        let (inbox, mut lane, feed) = site_inbox(4);
+        feed.send(chunk_of(2)).unwrap();
+        feed.send(SiteFeed::Kill).unwrap();
+        drop(feed);
+        assert!(matches!(inbox.recv(), Some(SiteInput::Feed(SiteFeed::Chunk(_)))));
+        assert!(matches!(inbox.recv(), Some(SiteInput::Feed(SiteFeed::Kill))));
+        assert!(matches!(inbox.recv(), Some(SiteInput::End)));
+        // After the one `End`, the site keeps serving the coordinator...
+        lane.send(DownPacket::Flush(3)).unwrap();
+        assert!(matches!(down(&inbox), DownPacket::Flush(3)));
+        // ...until it drops the lane: what the lane holds is still served.
+        lane.send(DownPacket::Flush(4)).unwrap();
+        drop(lane);
+        assert!(matches!(down(&inbox), DownPacket::Flush(4)));
+        assert!(inbox.recv().is_none());
+    }
+
     #[test]
     fn channel_transport_round_trips_packets() {
-        let fabric = ChannelTransport.connect(2, 8).unwrap();
-        let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } = fabric;
+        let (ends, _feeds, lanes) = inboxes(2);
+        let fabric = ChannelTransport.connect(lanes, 8).unwrap();
+        let Fabric { site_ups, driver_up, coord_rx, mut coord_downs, pumps } = fabric;
         assert!(pumps.is_empty());
         site_ups[1].send(UpPacket::Done).unwrap();
         driver_up.send(UpPacket::RollRequest).unwrap();
         assert!(matches!(coord_rx.recv().unwrap(), UpPacket::Done));
         assert!(matches!(coord_rx.recv().unwrap(), UpPacket::RollRequest));
         coord_downs[0].send(DownPacket::Flush(7)).unwrap();
-        assert!(matches!(site_downs[0].recv().unwrap(), DownPacket::Flush(7)));
+        assert!(matches!(down(&ends[0]), DownPacket::Flush(7)));
     }
 
     #[cfg(unix)]
     #[test]
     fn uds_transport_round_trips_every_envelope_kind() {
-        let fabric = UdsTransport.connect(2, 8).unwrap();
-        let Fabric { mut site_ups, driver_up: _d, coord_rx, mut coord_downs, site_downs, pumps } =
-            fabric;
+        let (ends, feeds, lanes) = inboxes(2);
+        let fabric = UdsTransport.connect(lanes, 8).unwrap();
+        let Fabric { mut site_ups, driver_up: _d, coord_rx, mut coord_downs, pumps } = fabric;
         let payload = Bytes::from(vec![1u8, 2, 3]);
         site_ups[0].send(UpPacket::Updates { site: 0, payload: payload.clone() }).unwrap();
         site_ups[0].send(UpPacket::Control { site: 0, payload: payload.clone() }).unwrap();
@@ -677,29 +946,26 @@ mod tests {
         coord_downs[1].send(DownPacket::Flush(9)).unwrap();
         coord_downs[1].send(DownPacket::Revive(payload.clone())).unwrap();
         coord_downs[1].send(DownPacket::Fault(ClusterError::Transport("boom".into()))).unwrap();
-        assert!(
-            matches!(site_downs[1].recv().unwrap(), DownPacket::Data(pl) if pl[..] == [1, 2, 3])
-        );
-        assert!(matches!(site_downs[1].recv().unwrap(), DownPacket::Flush(9)));
-        assert!(
-            matches!(site_downs[1].recv().unwrap(), DownPacket::Revive(pl) if pl[..] == [1, 2, 3])
-        );
+        assert!(matches!(down(&ends[1]), DownPacket::Data(pl) if pl[..] == [1, 2, 3]));
+        assert!(matches!(down(&ends[1]), DownPacket::Flush(9)));
+        assert!(matches!(down(&ends[1]), DownPacket::Revive(pl) if pl[..] == [1, 2, 3]));
         assert!(matches!(
-            site_downs[1].recv().unwrap(),
+            down(&ends[1]),
             DownPacket::Fault(ClusterError::Transport(m)) if m.contains("boom")
         ));
         // Kind 3 is unassigned on the down link: a decode fault, like any
         // other garbage.
         coord_downs[1].stream.write_all(&[3u8]).unwrap();
         assert!(matches!(
-            site_downs[1].recv().unwrap(),
+            down(&ends[1]),
             DownPacket::Fault(ClusterError::Transport(m)) if m.contains("unknown kind 3")
         ));
 
         drop(site_ups);
         drop(coord_downs);
         drop(coord_rx);
-        drop(site_downs);
+        drop(ends);
+        drop(feeds);
         for p in pumps {
             p.join().unwrap();
         }
@@ -709,8 +975,9 @@ mod tests {
     #[test]
     fn uds_garbage_becomes_fault_not_panic() {
         // Feed raw garbage into the coordinator-side up pump.
-        let fabric = UdsTransport.connect(1, 8).unwrap();
-        let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } = fabric;
+        let (ends, feeds, lanes) = inboxes(1);
+        let fabric = UdsTransport.connect(lanes, 8).unwrap();
+        let Fabric { site_ups, driver_up, coord_rx, coord_downs, pumps } = fabric;
         let mut raw = {
             // Reach the raw socket through the sender we were handed.
             let UdsUpSender { stream } = site_ups.into_iter().next().unwrap();
@@ -727,7 +994,8 @@ mod tests {
         drop(driver_up);
         drop(coord_downs);
         drop(coord_rx);
-        drop(site_downs);
+        drop(ends);
+        drop(feeds);
         for p in pumps {
             p.join().unwrap();
         }
@@ -736,8 +1004,9 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn uds_oversized_length_prefix_is_rejected() {
-        let fabric = UdsTransport.connect(1, 8).unwrap();
-        let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } = fabric;
+        let (ends, feeds, lanes) = inboxes(1);
+        let fabric = UdsTransport.connect(lanes, 8).unwrap();
+        let Fabric { site_ups, driver_up, coord_rx, coord_downs, pumps } = fabric;
         let mut raw = {
             let UdsUpSender { stream } = site_ups.into_iter().next().unwrap();
             stream
@@ -755,7 +1024,8 @@ mod tests {
         drop(driver_up);
         drop(coord_downs);
         drop(coord_rx);
-        drop(site_downs);
+        drop(ends);
+        drop(feeds);
         for p in pumps {
             p.join().unwrap();
         }
@@ -764,15 +1034,16 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn uds_truncated_envelope_is_a_fault_on_site_side_too() {
-        let fabric = UdsTransport.connect(1, 8).unwrap();
-        let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } = fabric;
+        let (ends, feeds, lanes) = inboxes(1);
+        let fabric = UdsTransport.connect(lanes, 8).unwrap();
+        let Fabric { site_ups, driver_up, coord_rx, coord_downs, pumps } = fabric;
         let mut raw = {
             let UdsDownSender { stream } = coord_downs.into_iter().next().unwrap();
             stream
         };
         raw.write_all(&[0u8, 9, 0]).unwrap(); // Data envelope, cut mid-length
         drop(raw); // EOF mid-envelope => truncation fault
-        match site_downs[0].recv().unwrap() {
+        match down(&ends[0]) {
             DownPacket::Fault(ClusterError::Transport(msg)) => {
                 assert!(msg.contains("truncated"), "{msg}");
             }
@@ -781,7 +1052,8 @@ mod tests {
         drop(site_ups);
         drop(driver_up);
         drop(coord_rx);
-        drop(site_downs);
+        drop(ends);
+        drop(feeds);
         for p in pumps {
             p.join().unwrap();
         }

@@ -14,8 +14,8 @@ use dsbn::core::CounterLayout;
 use dsbn::counters::ExactProtocol;
 use dsbn::datagen::TrainingStream;
 use dsbn::monitor::{
-    run_cluster_on, ChannelTransport, ClusterConfig, ClusterError, LinkClosed, Transport, UpPacket,
-    UpSender,
+    run_cluster_on, ChannelTransport, ClusterConfig, ClusterError, DownLane, LinkClosed, Transport,
+    UpPacket, UpSender,
 };
 #[cfg(unix)]
 use dsbn::monitor::{ClusterReport, UdsTransport};
@@ -84,16 +84,15 @@ impl Transport for TruncatingTransport {
 
     fn connect(
         &self,
-        k: usize,
-        capacity: usize,
+        down_lanes: Vec<DownLane>,
+        up_depth: usize,
     ) -> Result<dsbn::monitor::Fabric<Self::UpTx, Self::DownTx>, ClusterError> {
-        let fabric = ChannelTransport.connect(k, capacity)?;
+        let fabric = ChannelTransport.connect(down_lanes, up_depth)?;
         Ok(dsbn::monitor::Fabric {
             site_ups: fabric.site_ups.into_iter().map(TruncatingUp).collect(),
             driver_up: fabric.driver_up,
             coord_rx: fabric.coord_rx,
             coord_downs: fabric.coord_downs,
-            site_downs: fabric.site_downs,
             pumps: fabric.pumps,
         })
     }
