@@ -8,7 +8,7 @@
 //!   sees every event (like EXACTMLE), so it quantifies the *accuracy*
 //!   benefit of decay with no communication story.
 //! - [`EpochDecayConfig`] — **distributed** decay via the epoch-ring
-//!   scheme (`dsbn_counters::epoch`, DESIGN.md §5), set through
+//!   scheme (`dsbn_monitor::cluster`, DESIGN.md §5), set through
 //!   [`crate::TrackerConfig::with_decay`] on the one tracker
 //!   ([`crate::build_tracker`] / [`crate::run_cluster_tracker`]). Decay
 //!   can't be pushed into the counters directly — the HYZ estimator of

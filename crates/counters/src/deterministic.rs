@@ -82,6 +82,11 @@ impl CounterProtocol for DeterministicProtocol {
         None // never broadcasts
     }
 
+    #[inline]
+    fn accepts(&self, msg: &UpMsg) -> bool {
+        matches!(msg, UpMsg::Cumulative { .. })
+    }
+
     fn handle_up(&self, coord: &mut DetCoord, site_id: usize, msg: UpMsg) -> Option<DownMsg> {
         if let UpMsg::Cumulative { value } = msg {
             // Reports are monotone per site; out-of-order delivery in the

@@ -52,6 +52,11 @@ impl CounterProtocol for ExactProtocol {
         None // the exact protocol never broadcasts
     }
 
+    #[inline]
+    fn accepts(&self, msg: &UpMsg) -> bool {
+        matches!(msg, UpMsg::Increment)
+    }
+
     fn handle_up(&self, coord: &mut ExactCoord, site_id: usize, msg: UpMsg) -> Option<DownMsg> {
         debug_assert!(matches!(msg, UpMsg::Increment));
         coord.per_site[site_id] += 1;

@@ -284,6 +284,11 @@ impl CounterProtocol for HyzProtocol {
         }
     }
 
+    #[inline]
+    fn accepts(&self, msg: &UpMsg) -> bool {
+        matches!(msg, UpMsg::Report { .. } | UpMsg::SyncReply { .. })
+    }
+
     fn handle_up(&self, coord: &mut HyzCoord, site_id: usize, msg: UpMsg) -> Option<DownMsg> {
         match msg {
             UpMsg::Report { round, value } => {

@@ -14,13 +14,12 @@
 //! | [`deterministic::DeterministicProtocol`] | `(1-eps)C <= A <= C` | `O(k log C / eps)` |
 //! | [`hyz::HyzProtocol`] | `E[A] = C`, `Var[A] <= (eps C)^2` (Lemma 4) | `O((sqrt(k)/eps + k) log C)` |
 //!
-//! [`epoch`] wraps any of them for time-decayed tracking (the paper's
-//! future work (2)): monotone counting within epochs of `B` events, a ring
-//! of the last `K` closed-epoch estimates at the coordinator, and a
-//! `lambda^age`-weighted read — Lemma 4 applies unchanged per epoch.
+//! Time-decayed tracking (the paper's future work (2)) runs any of them
+//! unmodified within epochs of `B` events — Lemma 4 applies per epoch; the
+//! epoch roll and the ring of closed epochs live in `dsbn-monitor` (its
+//! DESIGN.md §5).
 
 pub mod deterministic;
-pub mod epoch;
 pub mod exact;
 pub mod hyz;
 pub mod msg;
@@ -28,7 +27,6 @@ pub mod protocol;
 pub mod wire;
 
 pub use deterministic::DeterministicProtocol;
-pub use epoch::EpochRoller;
 pub use exact::ExactProtocol;
 pub use hyz::HyzProtocol;
 pub use msg::{DownMsg, UpMsg};

@@ -44,8 +44,18 @@ pub trait CounterProtocol {
     ) -> Option<UpMsg>;
 
     /// Deliver an up message from `site_id` to the coordinator; optionally
-    /// emit a broadcast.
+    /// emit a broadcast. Runtimes deliver only kinds the protocol
+    /// [`accepts`](Self::accepts).
     fn handle_up(&self, coord: &mut Self::Coord, site_id: usize, msg: UpMsg) -> Option<DownMsg>;
+
+    /// Whether `msg` is a kind of up message this protocol's sites send —
+    /// the kinds [`handle_up`](Self::handle_up) is written for. The cluster
+    /// coordinator checks every message it decodes against this and fails
+    /// the run on any other kind, since wire-valid bytes from a transport
+    /// can carry one. The default takes every kind.
+    fn accepts(&self, _msg: &UpMsg) -> bool {
+        true
+    }
 
     /// The coordinator's current estimate of the global count.
     fn estimate(&self, coord: &Self::Coord) -> f64;

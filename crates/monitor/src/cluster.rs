@@ -63,9 +63,8 @@ use crate::transport::{
 };
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver};
-use dsbn_counters::epoch::EpochRoller;
 use dsbn_counters::msg::{DownMsg, UpMsg};
-use dsbn_counters::protocol::{drain, sweep, CounterProtocol};
+use dsbn_counters::protocol::{drain, snapshot_into, sweep, CounterProtocol};
 use dsbn_counters::wire::{encode, encode_event, frame_len, visit_packet, Frame, WireItem};
 use dsbn_datagen::EventChunk;
 use rand::rngs::SmallRng;
@@ -262,8 +261,10 @@ impl ClusterConfig {
 pub struct ClusterReport {
     /// Message statistics (paper accounting + packets + wire bytes).
     pub stats: MessageStats,
-    /// Wall-clock time from the first to the last update packet processed
-    /// by the coordinator (the paper's runtime metric, Fig. 7).
+    /// Wall-clock window from the coordinator's first update packet to
+    /// its last (the paper's runtime metric, Fig. 7). Despite the name it
+    /// is not busy time: the time the coordinator spends waiting on its
+    /// inbox inside the window is included.
     pub coordinator_busy: Duration,
     /// Wall-clock time of the whole run, including thread setup/teardown.
     pub wall_time: Duration,
@@ -312,7 +313,9 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Events per second relative to coordinator busy time (Fig. 8).
+    /// Events per second over the [`Self::coordinator_busy`] window
+    /// (Fig. 8) — the span from the first update packet to the last, idle
+    /// gaps included, so it is not a rate per second of busy time.
     ///
     /// Returns `f64::NAN` when the busy window is below the clock's
     /// resolution (e.g. an empty or near-instant run): reporting `0.0`
@@ -740,28 +743,42 @@ enum SiteStatus {
     Dead,
 }
 
-/// Control-thread core: the epoch-roll machinery (DESIGN.md §5), the
-/// closed-epoch settlement ring, the down links, and all accounting.
-/// Everything that must observe packets in transport arrival order lives
-/// here; only per-counter protocol state (decode + `handle_up`) is
-/// delegated to the [`Bank`].
-struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
+/// The coordinator (DESIGN.md §6.2): one struct on one thread, as in the
+/// paper's deployment. It owns every counter's open-epoch `P::Coord`
+/// state, the down links, the epoch-roll handshake and settlement ring
+/// (§5), the site roster (§8) and all accounting, and handles packets in
+/// transport arrival order. A broadcast is issued inside the update
+/// packet that triggered it, and a roll never starts inside one, so no
+/// broadcast of a closing epoch can follow its `EpochRoll` down the links.
+struct Coord<'a, P: CounterProtocol, D: DownSender> {
     protocols: &'a [P],
     k: usize,
-    ring_cap: usize,
+    /// `coords[c]` is counter `c`'s open-epoch state.
+    coords: Vec<P::Coord>,
     down_txs: Vec<D>,
-    roller: EpochRoller,
+    stats: MessageStats,
+    /// Which sites have acked the in-flight roll. A dead site is pre-acked
+    /// in every roll: it can never answer, and its per-epoch counts were
+    /// wiped at the crash.
+    acked: Vec<bool>,
+    /// A roll is in flight: it closes epoch `epochs_closed`.
+    rolling: bool,
+    /// Roll requests that arrived while one was in flight (rolls
+    /// serialize; each starts when the one before it settles).
+    queued: u64,
+    /// Epochs fully closed so far.
+    epochs_closed: u32,
     /// Per-counter settlement accumulator for the closing epoch: each
     /// site's ack carries its exact per-epoch counts (the terminal sync
     /// that closes the epoch, mirroring how HYZ anchors every round).
     settle: Vec<u64>,
+    ring_cap: usize,
     /// Settled closed-epoch counts, oldest first, capped at `ring_cap`.
     closed_estimates: VecDeque<Vec<f64>>,
     /// Cumulative settled counts across *all* closed epochs — unlike the
     /// ring it never truncates, so `settled_cum + open` is always the
     /// whole-stream cumulative read (what a snapshot's readers see).
     settled_cum: Vec<f64>,
-    stats: MessageStats,
     /// Broadcasts issued since the last flush barrier went out; a
     /// completed flush epoch with zero of these proves quiescence.
     downs_since_flush: u64,
@@ -770,7 +787,8 @@ struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     /// Events per epoch (0 when rolling is disabled); only used to stamp
     /// the approximate `events` field on mid-stream snapshots.
     boundary: u64,
-    /// Per-site fault-injection lifecycle; all `Alive` on a clean run.
+    /// The site roster: per-site fault-injection lifecycle, all `Alive` on
+    /// a clean run. The one record of which sites are dead.
     status: Vec<SiteStatus>,
     /// Revive orders that arrived while the kill was still in flight
     /// (site `Dying`): applied as soon as the `Crashed` marker lands.
@@ -780,22 +798,14 @@ struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     /// the rejoin catch-up source: a reviving site replays exactly these
     /// `NewRound` frames to re-INIT its protocols mid-round.
     rounds: Vec<(u32, f64)>,
-    /// Churn accounting (all zero without injected faults).
-    kills: u64,
-    revives: u64,
-    partial_final_packets: u64,
-    partial_bytes_discarded: u64,
+    /// Kills, revives and torn final packets; the driver adds the sites'
+    /// loss ledgers after the run.
+    churn: ChurnReport,
+    /// Arrival of the first and the last update packet.
+    busy: Option<(Instant, Instant)>,
 }
 
-/// What processing one control packet moved: the epoch rolls to start now
-/// and how many epochs *settled* (closed) while processing it — each
-/// settlement is a valid snapshot cut.
-struct ControlOutcome {
-    rolls: Vec<u32>,
-    closed: u64,
-}
-
-impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
+impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
     fn new(
         protocols: &'a [P],
         k: usize,
@@ -804,26 +814,29 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         hub: Option<SnapshotHub>,
         boundary: u64,
     ) -> Self {
-        CtlCore {
+        let n = protocols.len();
+        Coord {
             protocols,
             k,
-            ring_cap,
+            coords: protocols.iter().map(|p| p.new_coord(k)).collect(),
             down_txs,
-            roller: EpochRoller::new(k),
-            settle: vec![0; protocols.len()],
-            closed_estimates: VecDeque::new(),
-            settled_cum: vec![0.0; protocols.len()],
             stats: MessageStats::default(),
+            acked: vec![false; k],
+            rolling: false,
+            queued: 0,
+            epochs_closed: 0,
+            settle: vec![0; n],
+            ring_cap,
+            closed_estimates: VecDeque::new(),
+            settled_cum: vec![0.0; n],
             downs_since_flush: 0,
             hub,
             boundary,
             status: vec![SiteStatus::Alive; k],
             pending_revive: vec![false; k],
-            rounds: vec![(0, 1.0); protocols.len()],
-            kills: 0,
-            revives: 0,
-            partial_final_packets: 0,
-            partial_bytes_discarded: 0,
+            rounds: vec![(0, 1.0); n],
+            churn: ChurnReport::default(),
+            busy: None,
         }
     }
 
@@ -834,41 +847,160 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         self.status.iter().filter(|s| **s != SiteStatus::Dead).count()
     }
 
-    /// Driver-injected kill order: mark the site dying. The kill itself
-    /// rides the driver→site feed lane in-band (`SiteFeed::Kill`, FIFO
-    /// with the arrivals — exact kill points); this marker only sequences
-    /// revives, deferring any that arrive before the site's terminal
-    /// `Crashed` marker does. A kill for a site already dying or dead is
-    /// a no-op (fail-stop: there is nothing left to kill twice).
-    fn inject_kill(&mut self, site: usize) {
-        if self.status[site] == SiteStatus::Alive {
-            self.status[site] = SiteStatus::Dying;
-        }
+    /// Whether an update arriving now from `site` belongs to the *closing*
+    /// epoch: a roll is in flight and the site has not acked it. Per-site
+    /// FIFO makes this exact — a site's post-roll updates can only arrive
+    /// after its ack.
+    fn is_stale(&self, site: usize) -> bool {
+        self.rolling && !self.acked[site]
     }
 
-    /// Driver fault injection. Applies a kill immediately; resolves a
-    /// revive into "rejoin now" (`true`, the site is dead), a deferred
-    /// rejoin (kill still in flight — FIFO forbids reviving a site that
-    /// has not finished dying), or a no-op (site never died).
-    fn handle_inject(&mut self, site: usize, kill: bool) -> Result<bool, ClusterError> {
+    /// Driver fault injection. A kill only marks the site dying: the kill
+    /// itself rides the driver→site feed lane in-band (`SiteFeed::Kill`,
+    /// FIFO with the arrivals — exact kill points), and the marker here
+    /// sequences revives, deferring any that arrive before the site's
+    /// terminal `Crashed` marker does; a kill for a site already dying or
+    /// dead is a no-op (fail-stop). A revive rejoins a dead site now,
+    /// defers the rejoin while the kill is still in flight (FIFO forbids
+    /// reviving a site that has not finished dying), and is a no-op for a
+    /// site that never died.
+    fn handle_inject(&mut self, site: usize, kill: bool) -> Result<(), ClusterError> {
         if site >= self.k {
             return Err(ClusterError::Protocol {
                 context: "fault injection",
                 detail: format!("fault for unknown site {site} (k = {})", self.k),
             });
         }
-        if kill {
-            self.inject_kill(site);
-            return Ok(false);
+        match (kill, self.status[site]) {
+            (true, SiteStatus::Alive) => self.status[site] = SiteStatus::Dying,
+            (false, SiteStatus::Dead) => self.rejoin(site),
+            (false, SiteStatus::Dying) => self.pending_revive[site] = true,
+            _ => {}
         }
-        match self.status[site] {
-            SiteStatus::Dead => Ok(true),
-            SiteStatus::Dying => {
-                self.pending_revive[site] = true;
-                Ok(false)
+        Ok(())
+    }
+
+    /// One multi-event update packet from `site`, decoded in a single
+    /// allocation-free pass; every broadcast an update triggers is issued
+    /// on the spot. A `stale` packet comes from a site that has not yet
+    /// acked the in-flight roll: it was sent before the site rolled and
+    /// belongs to the *closing* epoch. Its updates are counted but
+    /// dropped, because the site's settlement — its exact per-epoch
+    /// counts, carried by the ack that follows them — supersedes anything
+    /// they could contribute. A closing epoch cannot keep running its
+    /// protocol: a sync is a global barrier, and sites already in the new
+    /// epoch would answer a cross-epoch sync as stale, wedging it forever.
+    ///
+    /// An up message of a kind the counter's protocol does not take
+    /// ([`CounterProtocol::accepts`]) is a protocol error: the bytes are
+    /// wire-valid, and `handle_up` would miscount or drop it.
+    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
+        let now = Instant::now();
+        self.busy = Some((self.busy.map_or(now, |(first, _)| first), now));
+        if site >= self.k {
+            return Err(ClusterError::Protocol {
+                context: "up packet",
+                detail: format!("packet from unknown site {site} (k = {})", self.k),
+            });
+        }
+        self.stats.packets += 1;
+        self.stats.bytes += payload.len() as u64;
+        // Acks only arrive in control packets, so staleness is a property
+        // of the whole packet.
+        let stale = self.is_stale(site);
+        let protocols = self.protocols;
+        let mut err: Option<ClusterError> = None;
+        let res = visit_packet(payload, |item| {
+            if err.is_some() {
+                return;
             }
-            SiteStatus::Alive => Ok(false),
+            let detail = match item {
+                WireItem::Up { counter, msg } => match protocols.get(counter as usize) {
+                    Some(p) if p.accepts(&msg) => {
+                        self.stats.up_messages += 1;
+                        if !stale {
+                            if let Some(down) =
+                                p.handle_up(&mut self.coords[counter as usize], site, msg)
+                            {
+                                self.issue_broadcast(counter, down);
+                            }
+                        }
+                        return;
+                    }
+                    Some(_) => {
+                        format!("{msg:?} from site {site}: not a kind counter {counter} takes")
+                    }
+                    None => {
+                        format!("counter {counter} out of range ({} counters)", protocols.len())
+                    }
+                },
+                WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
+                    format!("down frame from site {site} on the up path")
+                }
+                WireItem::EpochAck { .. } => {
+                    format!("epoch ack from site {site} outside a control packet")
+                }
+            };
+            err = Some(ClusterError::Protocol { context: "up packet", detail });
+        });
+        if let Some(e) = err {
+            return Err(e);
         }
+        res.map_err(|source| ClusterError::Wire { context: "up packet", site: Some(site), source })
+    }
+
+    /// One control packet from `site`: the site's settlement — exact
+    /// per-epoch counts as `Cumulative` frames for its nonzero counters —
+    /// followed by its `Frame::EpochAck`. Bytes count, packet/message
+    /// tallies do not (lifecycle traffic, DESIGN.md §4). The ack that
+    /// completes a roll settles it on the spot ([`Self::settle_rolls`]).
+    fn handle_control(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
+        if site >= self.k {
+            return Err(ClusterError::Protocol {
+                context: "control packet",
+                detail: format!("packet from unknown site {site} (k = {})", self.k),
+            });
+        }
+        self.stats.bytes += payload.len() as u64;
+        let mut err: Option<ClusterError> = None;
+        let res = visit_packet(payload, |item| {
+            if err.is_some() {
+                return;
+            }
+            let detail = match item {
+                WireItem::Up { counter, msg: UpMsg::Cumulative { value } } => {
+                    let n = self.settle.len();
+                    match self.settle.get_mut(counter as usize) {
+                        Some(s) => {
+                            *s += value;
+                            return;
+                        }
+                        None => {
+                            format!("settlement for counter {counter} out of range ({n} counters)")
+                        }
+                    }
+                }
+                // Transport-reachable: a confused peer can ack an epoch
+                // that is not closing, so this is checked, not asserted.
+                WireItem::EpochAck { epoch } if self.rolling && epoch == self.epochs_closed => {
+                    self.ack(site);
+                    return;
+                }
+                WireItem::EpochAck { epoch } => {
+                    format!("unexpected epoch ack {epoch} from site {site}")
+                }
+                other => format!("non-control frame {other:?} in a control packet"),
+            };
+            err = Some(ClusterError::Protocol { context: "control packet", detail });
+        });
+        if let Some(e) = err {
+            return Err(e);
+        }
+        res.map_err(|source| ClusterError::Wire {
+            context: "control packet",
+            site: Some(site),
+            source,
+        })
     }
 
     /// The site's terminal `Crashed` marker arrived (the last packet on
@@ -877,10 +1009,12 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     /// mid-flush, so the truncated prefix is attributed to it and
     /// discarded whole — its updates came from local state that was wiped
     /// into the site's loss ledger, so applying even the decodable part
-    /// would double-count. Marks the site dead in the roll machinery and
-    /// returns whether that completed an in-flight epoch roll (the caller
-    /// must then settle exactly as the site's own ack would have).
-    fn record_crash(&mut self, site: usize, partial: &Bytes) -> Result<bool, ClusterError> {
+    /// would double-count. Then complete any roll the site was the last
+    /// holdout of (settled *before* forgetting, exactly as its own ack
+    /// would have — the settlement reflects what every site actually
+    /// reported), forget the dead site in every open-epoch counter, and
+    /// apply a revive that arrived while the kill was still in flight.
+    fn handle_crashed(&mut self, site: usize, partial: Bytes) -> Result<(), ClusterError> {
         if site >= self.k {
             return Err(ClusterError::Protocol {
                 context: "crash marker",
@@ -894,24 +1028,47 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             });
         }
         self.status[site] = SiteStatus::Dead;
-        self.kills += 1;
+        self.churn.kills += 1;
         if !partial.is_empty() {
-            self.partial_final_packets += 1;
-            self.partial_bytes_discarded += partial.len() as u64;
+            self.churn.partial_final_packets += 1;
+            self.churn.partial_bytes_discarded += partial.len() as u64;
         }
-        Ok(self.roller.mark_dead(site))
+        if self.rolling {
+            self.ack(site);
+        }
+        self.forget(site);
+        if self.pending_revive[site] {
+            self.rejoin(site);
+        }
+        Ok(())
     }
 
-    /// Send the revive order with its catch-up payload: one `NewRound`
-    /// frame per counter with an open round (from the round cache), so the
-    /// returning site re-INITs its protocols mid-round. FIFO on the down
-    /// link orders the catch-up ahead of every later broadcast, so the
-    /// site can never observe round `r + 1` before `r`.
-    fn send_revive(&mut self, site: usize) {
-        self.revives += 1;
+    /// Forget a crashed site's contribution in every open-epoch counter; a
+    /// broadcast the forget triggers (e.g. HYZ completing a sync the dead
+    /// site was the last holdout of) is issued on the spot.
+    fn forget(&mut self, site: usize) {
+        for c in 0..self.coords.len() {
+            if let Some(down) = self.protocols[c].site_crashed(&mut self.coords[c], site) {
+                self.issue_broadcast(c as u32, down);
+            }
+        }
+    }
+
+    /// Re-admit a dead site, then send the revive order with its catch-up
+    /// payload: one `NewRound` frame per counter with an open round (from
+    /// the round cache), so the returning site re-INITs its protocols
+    /// mid-round. The `rejoin_site` hooks' returns are discarded: their
+    /// announcement is the current round, which the catch-up already
+    /// carries to the one site that needs it. FIFO on the down link orders
+    /// the catch-up ahead of every later broadcast, so the site can never
+    /// observe round `r + 1` before `r`.
+    fn rejoin(&mut self, site: usize) {
+        self.churn.revives += 1;
         self.status[site] = SiteStatus::Alive;
         self.pending_revive[site] = false;
-        self.roller.mark_live(site);
+        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
+            let _ = p.rejoin_site(coord, site);
+        }
         let mut buf = BytesMut::new();
         for (c, &(round, p)) in self.rounds.iter().enumerate() {
             if round > 0 {
@@ -925,20 +1082,100 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         let _ = self.down_txs[site].send(DownPacket::Revive(buf.freeze()));
     }
 
-    /// An epoch roll restarts every protocol at round 0 on fresh state:
-    /// reset the rejoin catch-up cache to match.
-    fn reset_rounds(&mut self) {
-        self.rounds.iter_mut().for_each(|r| *r = (0, 1.0));
+    /// The driver crossed an epoch boundary: start closing the epoch now,
+    /// or queue the request behind the roll in flight.
+    fn request_roll(&mut self) {
+        if self.rolling {
+            self.queued += 1;
+        } else {
+            self.start_roll();
+            self.settle_rolls();
+        }
     }
 
-    /// Mint and publish a [`CounterSnapshot`] from the open-epoch
-    /// estimates `open` (exported from the bank) plus the core's settled
-    /// accumulators. Called only at epoch settlements — the one mid-stream
-    /// moment the state is Definition-2-consistent (DESIGN.md §7). No-op
-    /// without a hub.
-    fn publish_snapshot(&mut self, open: Vec<f64>) {
+    /// Begin closing epoch `epochs_closed`, at exactly this point in the
+    /// packet sequence: pre-ack the dead sites, swap in fresh per-counter
+    /// state (the old is superseded by the incoming settlements), then
+    /// broadcast `EpochRoll` (a control frame: bytes only, and it counts
+    /// toward `downs_since_flush` so the quiescence handshake waits for
+    /// the acks it will trigger).
+    fn start_roll(&mut self) {
+        self.rolling = true;
+        for (a, s) in self.acked.iter_mut().zip(&self.status) {
+            *a = *s == SiteStatus::Dead;
+        }
+        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
+            *coord = p.new_coord(self.k);
+        }
+        // Fresh state assumes all k sites contribute: forget the dead ones
+        // again. It has no sync or report in flight, so this never
+        // broadcasts.
+        for site in 0..self.k {
+            if self.status[site] == SiteStatus::Dead {
+                self.forget(site);
+            }
+        }
+        // Every protocol restarts at round 0: so does the catch-up cache.
+        self.rounds.fill((0, 1.0));
+        self.downs_since_flush += 1;
+        let mut buf = BytesMut::new();
+        encode(&Frame::EpochRoll { epoch: self.epochs_closed }, &mut buf);
+        self.send_down_all(buf.freeze());
+    }
+
+    /// Count `site` in for the in-flight roll (a repeat changes nothing)
+    /// and settle the roll if that completed it.
+    fn ack(&mut self, site: usize) {
+        self.acked[site] = true;
+        self.settle_rolls();
+    }
+
+    /// Settle the in-flight roll once every site has acked (dead sites
+    /// pre-acked): freeze the settlement, mint, then start a queued roll —
+    /// in that order, so the snapshot holds the epoch just settled and the
+    /// open estimates still belong to the epoch its readers see as open
+    /// (DESIGN.md §7.2). A roll that starts with every site dead is
+    /// complete at once, so this loops.
+    fn settle_rolls(&mut self) {
+        while self.rolling && self.acked.iter().all(|&a| a) {
+            self.close_epoch();
+            self.mint();
+            if self.queued > 0 {
+                self.queued -= 1;
+                self.start_roll();
+            }
+        }
+    }
+
+    /// Every site acked: freeze the summed settlements into the ring (and
+    /// the never-truncating cumulative accumulator) and close the epoch.
+    fn close_epoch(&mut self) {
+        let settled: Vec<f64> = self.settle.iter().map(|&v| v as f64).collect();
+        self.settle.fill(0);
+        for (cum, &s) in self.settled_cum.iter_mut().zip(&settled) {
+            *cum += s;
+        }
+        if self.closed_estimates.len() == self.ring_cap {
+            self.closed_estimates.pop_front();
+        }
+        self.closed_estimates.push_back(settled);
+        self.rolling = false;
+        self.epochs_closed += 1;
+    }
+
+    /// The open-epoch estimate of every counter, in id order.
+    fn estimates(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.coords.len()];
+        snapshot_into(self.protocols, &self.coords, &mut out);
+        out
+    }
+
+    /// Mint and publish a [`CounterSnapshot`] of the current state. Called
+    /// only at epoch settlements — the one mid-stream moment the state is
+    /// Definition-2-consistent (DESIGN.md §7). No-op without a hub.
+    fn mint(&self) {
         let Some(hub) = &self.hub else { return };
-        let epochs = self.roller.epochs_closed() as u64;
+        let epochs = self.epochs_closed as u64;
         hub.publish(CounterSnapshot {
             // The hub's own next number, as `publish_final` takes it: a hub
             // reused across runs never repeats one its readers have cached.
@@ -946,7 +1183,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             events: epochs * self.boundary,
             epochs,
             finalized: false,
-            open,
+            open: self.estimates(),
             settled: self.settled_cum.clone(),
             closed: self.closed_estimates.iter().cloned().collect(),
             exact: None,
@@ -976,416 +1213,33 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         self.send_down_all(buf.freeze());
     }
 
-    /// Broadcast `EpochRoll` (a control frame: bytes only, and it counts
-    /// toward `downs_since_flush` so the quiescence handshake waits for
-    /// the acks it will trigger).
-    fn broadcast_roll(&mut self, epoch: u32) {
-        self.downs_since_flush += 1;
-        let mut buf = BytesMut::new();
-        encode(&Frame::EpochRoll { epoch }, &mut buf);
-        self.send_down_all(buf.freeze());
-    }
-
     /// Send a flush barrier down every site link.
     fn send_flush(&mut self, epoch: u64) {
         for tx in &mut self.down_txs {
             let _ = tx.send(DownPacket::Flush(epoch));
         }
     }
-
-    /// All sites acked: the epoch is settled — freeze the summed
-    /// settlements into the ring (and the never-truncating cumulative
-    /// accumulator). Returns a queued roll to start next.
-    fn close_epoch(&mut self) -> Option<u32> {
-        let settled: Vec<f64> = self.settle.iter().map(|&v| v as f64).collect();
-        self.settle.iter_mut().for_each(|v| *v = 0);
-        for (cum, &s) in self.settled_cum.iter_mut().zip(&settled) {
-            *cum += s;
-        }
-        if self.closed_estimates.len() == self.ring_cap {
-            self.closed_estimates.pop_front();
-        }
-        self.closed_estimates.push_back(settled);
-        self.roller.finish()
-    }
-
-    /// One control packet from `site`: the site's settlement — exact
-    /// per-epoch counts as `Cumulative` frames for its nonzero counters —
-    /// followed by its `Frame::EpochAck`. Bytes count, packet/message
-    /// tallies do not (lifecycle traffic, DESIGN.md §4). Returns the
-    /// epochs whose rolls must start now (completing an ack can release a
-    /// queued roll) plus how many epochs settled — each settlement is a
-    /// snapshot cut the caller must mint at *before* starting the rolls.
-    fn handle_control(
-        &mut self,
-        site: usize,
-        payload: Bytes,
-    ) -> Result<ControlOutcome, ClusterError> {
-        if site >= self.k {
-            return Err(ClusterError::Protocol {
-                context: "control packet",
-                detail: format!("packet from unknown site {site} (k = {})", self.k),
-            });
-        }
-        self.stats.bytes += payload.len() as u64;
-        let mut err: Option<ClusterError> = None;
-        let mut rolls = Vec::new();
-        let mut closed = 0u64;
-        let res = visit_packet(payload, |item| {
-            if err.is_some() {
-                return;
-            }
-            match item {
-                WireItem::Up { counter, msg: UpMsg::Cumulative { value } } => {
-                    let c = counter as usize;
-                    if c >= self.settle.len() {
-                        err = Some(ClusterError::Protocol {
-                            context: "control packet",
-                            detail: format!(
-                                "settlement for counter {counter} out of range ({} counters)",
-                                self.settle.len()
-                            ),
-                        });
-                        return;
-                    }
-                    self.settle[c] += value;
-                }
-                WireItem::EpochAck { epoch } => {
-                    // The roller's preconditions are transport-reachable
-                    // here (a confused peer can ack an epoch that is not
-                    // closing), so guard them instead of asserting.
-                    if !self.roller.rolling() || epoch != self.roller.epochs_closed() {
-                        err = Some(ClusterError::Protocol {
-                            context: "control packet",
-                            detail: format!("unexpected epoch ack {epoch} from site {site}"),
-                        });
-                        return;
-                    }
-                    if self.roller.ack(site, epoch) {
-                        closed += 1;
-                        if let Some(next) = self.close_epoch() {
-                            rolls.push(next);
-                        }
-                    }
-                }
-                other => {
-                    err = Some(ClusterError::Protocol {
-                        context: "control packet",
-                        detail: format!("non-control frame {other:?} in a control packet"),
-                    });
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        res.map_err(|source| ClusterError::Wire {
-            context: "control packet",
-            site: Some(site),
-            source,
-        })?;
-        Ok(ControlOutcome { rolls, closed })
-    }
-
-    /// Close out the run into a [`CoordOut`].
-    fn finish(
-        self,
-        estimates: Vec<f64>,
-        busy: Option<(Instant, Instant)>,
-        flush_epochs: u64,
-    ) -> CoordOut {
-        CoordOut {
-            epochs: self.roller.epochs_closed() as u64,
-            closed_estimates: self.closed_estimates.into_iter().collect(),
-            settled_totals: self.settled_cum,
-            stats: self.stats,
-            estimates,
-            busy: busy.map_or(Duration::ZERO, |(first, last)| last.duration_since(first)),
-            flush_epochs,
-            kills: self.kills,
-            revives: self.revives,
-            partial_final_packets: self.partial_final_packets,
-            partial_bytes_discarded: self.partial_bytes_discarded,
-        }
-    }
 }
 
-/// What the coordinator hands back to the driver.
-struct CoordOut {
-    stats: MessageStats,
-    estimates: Vec<f64>,
-    closed_estimates: Vec<Vec<f64>>,
-    settled_totals: Vec<f64>,
-    epochs: u64,
-    busy: Duration,
-    flush_epochs: u64,
-    kills: u64,
-    revives: u64,
-    partial_final_packets: u64,
-    partial_bytes_discarded: u64,
-}
-
-/// The open-epoch `P::Coord` state of every counter — the one place update
-/// packets are validated and applied, called by the [`Coord`] directly on
-/// the coordinator thread.
-struct Bank<'a, P: CounterProtocol> {
-    protocols: &'a [P],
-    k: usize,
-    /// `coords[c]` is counter `c`.
-    coords: Vec<P::Coord>,
-    /// Paper accounting: updates seen so far (counted even when
-    /// stale-dropped).
-    up_messages: u64,
-    /// Crashed-site roster, re-forgotten at every roll (fresh state
-    /// assumes all k sites contribute).
-    dead: Vec<bool>,
-}
-
-impl<'a, P: CounterProtocol> Bank<'a, P> {
-    fn new(protocols: &'a [P], k: usize) -> Self {
-        let coords = protocols.iter().map(|p| p.new_coord(k)).collect();
-        Bank { protocols, k, coords, up_messages: 0, dead: vec![false; k] }
-    }
-
-    /// One multi-event update packet from `site`, decoded in a single
-    /// allocation-free pass; every broadcast an update triggers goes to
-    /// `emit`. A `stale` packet comes from a site that has not yet acked
-    /// the in-flight roll: it was sent before the site rolled (FIFO links
-    /// make this attribution exact) and belongs to the *closing* epoch.
-    /// Its updates are counted but dropped, because the site's settlement
-    /// — its exact per-epoch counts, carried by the ack that follows them —
-    /// supersedes anything they could contribute. A closing epoch cannot
-    /// keep running its protocol: a sync is a global barrier, and sites
-    /// already in the new epoch would answer a cross-epoch sync as stale,
-    /// wedging it forever.
-    fn apply(
-        &mut self,
-        site: usize,
-        payload: Bytes,
-        stale: bool,
-        mut emit: impl FnMut(u32, DownMsg),
-    ) -> Result<(), ClusterError> {
-        let mut err: Option<ClusterError> = None;
-        let res = visit_packet(payload, |item| {
-            if err.is_some() {
-                return;
-            }
-            let detail = match item {
-                WireItem::Up { counter, msg } => {
-                    let c = counter as usize;
-                    if c < self.coords.len() {
-                        self.up_messages += 1;
-                        if !stale {
-                            if let Some(down) =
-                                self.protocols[c].handle_up(&mut self.coords[c], site, msg)
-                            {
-                                emit(counter, down);
-                            }
-                        }
-                        return;
-                    }
-                    format!("counter {counter} out of range ({} counters)", self.coords.len())
-                }
-                WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
-                    format!("down frame from site {site} on the up path")
-                }
-                WireItem::EpochAck { .. } => {
-                    format!("epoch ack from site {site} outside a control packet")
-                }
-            };
-            err = Some(ClusterError::Protocol { context: "up packet", detail });
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        res.map_err(|source| ClusterError::Wire { context: "up packet", site: Some(site), source })
-    }
-
-    /// A new open epoch: swap in fresh state (the old is superseded by the
-    /// incoming settlements) and re-forget the dead roster. Fresh state has
-    /// no sync or report in flight, so the forget can never broadcast.
-    fn roll(&mut self) {
-        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
-            *coord = p.new_coord(self.k);
-        }
-        for site in 0..self.k {
-            if self.dead[site] {
-                self.crashed(site, |_, _| debug_assert!(false, "crash-forget on fresh state"));
-            }
-        }
-    }
-
-    /// Forget a crashed site's contribution; a broadcast the forget
-    /// triggers (e.g. HYZ completing a sync the dead site was the last
-    /// holdout of) goes to `emit`.
-    fn crashed(&mut self, site: usize, mut emit: impl FnMut(u32, DownMsg)) {
-        self.dead[site] = true;
-        for (c, (coord, p)) in self.coords.iter_mut().zip(self.protocols).enumerate() {
-            if let Some(down) = p.site_crashed(coord, site) {
-                emit(c as u32, down);
-            }
-        }
-    }
-
-    /// Re-admit a dead site. The hooks' returns are discarded: their
-    /// announcement is the current round, which the revive catch-up payload
-    /// already carries to the one site that needs it.
-    fn rejoined(&mut self, site: usize) {
-        self.dead[site] = false;
-        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
-            let _ = p.rejoin_site(coord, site);
-        }
-    }
-
-    /// The open-epoch estimate of every counter, in id order.
-    fn estimates(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.coords.len()];
-        dsbn_counters::protocol::snapshot_into(self.protocols, &self.coords, &mut out);
-        out
-    }
-}
-
-/// The coordinator: the control core plus the counter state it drives.
-/// Packets are handled in transport arrival order, and broadcasts are
-/// issued here, on the one thread that owns the down links — inside
-/// [`Bank::apply`], so none can follow its epoch's `EpochRoll` down them.
-struct Coord<'a, P: CounterProtocol, D: DownSender> {
-    core: CtlCore<'a, P, D>,
-    bank: Bank<'a, P>,
-    /// Arrival of the first and the last update packet.
-    busy: Option<(Instant, Instant)>,
-}
-
-impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
-    fn new(core: CtlCore<'a, P, D>) -> Self {
-        let bank = Bank::new(core.protocols, core.k);
-        Coord { core, bank, busy: None }
-    }
-
-    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        let now = Instant::now();
-        self.busy = Some((self.busy.map_or(now, |(first, _)| first), now));
-        let Coord { core, bank, .. } = self;
-        if site >= core.k {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!("packet from unknown site {site} (k = {})", core.k),
-            });
-        }
-        core.stats.packets += 1;
-        core.stats.bytes += payload.len() as u64;
-        // The roller only moves on control packets, so staleness is a
-        // property of the whole packet.
-        let stale = core.roller.is_stale(site);
-        bank.apply(site, payload, stale, |c, down| core.issue_broadcast(c, down))
-    }
-
-    /// Mint and publish a snapshot of the current state (no-op without a
-    /// hub). Callers mint at a settlement *before* any queued roll resets
-    /// the bank — the open estimates still belong to the epoch the
-    /// snapshot's readers will see as open — and before a crash is
-    /// forgotten (DESIGN.md §7.2, §8.2).
-    fn mint(&mut self) {
-        if self.core.hub.is_some() {
-            self.core.publish_snapshot(self.bank.estimates());
-        }
-    }
-
-    /// Begin closing `epoch`: reset the bank at exactly this point in the
-    /// packet sequence, then broadcast `EpochRoll`.
-    fn start_roll(&mut self, epoch: u32) {
-        self.bank.roll();
-        self.core.reset_rounds();
-        self.core.broadcast_roll(epoch);
-    }
-
-    /// The driver crossed an epoch boundary: start closing the epoch now,
-    /// unless a roll is already in flight (the request queues inside the
-    /// roller).
-    fn request_roll(&mut self) {
-        if let Some(epoch) = self.core.roller.request() {
-            self.start_roll(epoch);
-            self.settle_instant_rolls();
-        }
-    }
-
-    /// A roll whose every non-dead site has already acked — which happens
-    /// the moment it starts when *all* sites are dead (the roller pre-fills
-    /// the dead roster) — settles immediately, exactly as a final ack
-    /// would have; chained for queued requests.
-    fn settle_instant_rolls(&mut self) {
-        while self.core.roller.rolling() && self.core.roller.all_acked() {
-            self.mint();
-            match self.core.close_epoch() {
-                Some(next) => self.start_roll(next),
-                None => break,
-            }
-        }
-    }
-
-    /// A site's terminal `Crashed` marker: complete any roll it was the
-    /// last holdout of (mint + settle *before* forgetting, exactly as its
-    /// own ack would have — the settlement reflects what every site
-    /// actually reported), then forget the dead site's contribution in
-    /// every open-epoch counter, then apply a revive that arrived while
-    /// the kill was still in flight.
-    fn handle_crashed(&mut self, site: usize, partial: Bytes) -> Result<(), ClusterError> {
-        if self.core.record_crash(site, &partial)? {
-            self.mint();
-            if let Some(next) = self.core.close_epoch() {
-                self.start_roll(next);
-            }
-            self.settle_instant_rolls();
-        }
-        let Coord { core, bank, .. } = self;
-        bank.crashed(site, |c, down| core.issue_broadcast(c, down));
-        if self.core.pending_revive[site] {
-            self.rejoin(site);
-        }
-        Ok(())
-    }
-
-    /// Re-admit a dead site in the bank, then send the revive order (with
-    /// its mid-round catch-up) down the site's link.
-    fn rejoin(&mut self, site: usize) {
-        self.bank.rejoined(site);
-        self.core.send_revive(site);
-    }
-
-    fn handle_control(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        let outcome = self.core.handle_control(site, payload)?;
-        if outcome.closed > 0 {
-            self.mint();
-        }
-        for epoch in outcome.rolls {
-            self.start_roll(epoch);
-        }
-        self.settle_instant_rolls();
-        Ok(())
-    }
-}
-
-/// The coordinator loop, in two phases.
+/// The coordinator loop, in two phases. Returns the coordinator's half of
+/// the [`ClusterReport`], its fields moved out of the `Coord`; the driver
+/// fills in the event count and the sites' oracles and loss ledgers.
 fn run_coordinator<P: CounterProtocol, D: DownSender>(
     mut c: Coord<'_, P, D>,
     up_rx: Receiver<UpPacket>,
-) -> Result<CoordOut, ClusterError> {
+) -> Result<ClusterReport, ClusterError> {
     let bad = |detail: String| ClusterError::Protocol { context: "coordinator", detail };
     // Phase 1: serve traffic until every site reports end-of-stream.
     // Every RollRequest is enqueued by the driver before it closes the
     // feed lanes, so all of them are dequeued before the k-th Done
     // (FIFO merged inbox).
     let mut done = 0usize;
-    while done < c.core.k {
+    while done < c.k {
         match up_rx.recv() {
             Ok(UpPacket::Updates { site, payload }) => c.handle_updates(site, payload)?,
             Ok(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
             Ok(UpPacket::Crashed { site, partial }) => c.handle_crashed(site, partial)?,
-            Ok(UpPacket::Inject { site, kill }) => {
-                if c.core.handle_inject(site, kill)? {
-                    c.rejoin(site);
-                }
-            }
+            Ok(UpPacket::Inject { site, kill }) => c.handle_inject(site, kill)?,
             Ok(UpPacket::RollRequest) => c.request_roll(),
             Ok(UpPacket::Done) => done += 1,
             Ok(UpPacket::FlushAck { epoch }) => {
@@ -1405,15 +1259,15 @@ fn run_coordinator<P: CounterProtocol, D: DownSender>(
     let mut flush_epoch = 0u64;
     loop {
         flush_epoch += 1;
-        c.core.downs_since_flush = 0;
-        c.core.send_flush(flush_epoch);
+        c.downs_since_flush = 0;
+        c.send_flush(flush_epoch);
         // Dead sites never ack a barrier (their `Crashed` marker — the
         // last packet on their FIFO up link — preceded every `Done`, so
         // the roster is final before the first barrier goes out; `Inject`
         // markers likewise all precede the driver-channel close, so no
         // site is still `Dying` here and the expectation cannot change
         // mid-epoch).
-        let expected = c.core.alive_sites();
+        let expected = c.alive_sites();
         let mut acks = 0usize;
         while acks < expected {
             match up_rx.recv() {
@@ -1439,16 +1293,32 @@ fn run_coordinator<P: CounterProtocol, D: DownSender>(
                 Err(_) => break, // all sites gone; nothing in flight
             }
         }
-        if c.core.downs_since_flush == 0 {
+        if c.downs_since_flush == 0 {
             break;
         }
     }
-    if c.core.roller.rolling() {
+    if c.rolling {
         return Err(bad("quiescent with an epoch roll still open".into()));
     }
-    c.core.stats.up_messages = c.bank.up_messages;
-    let estimates = c.bank.estimates();
-    Ok(c.core.finish(estimates, c.busy, flush_epoch))
+    let estimates = c.estimates();
+    let Coord { stats, epochs_closed, closed_estimates, settled_cum, churn, busy, .. } = c;
+    Ok(ClusterReport {
+        stats,
+        coordinator_busy: busy.map_or(Duration::ZERO, |(first, last)| last.duration_since(first)),
+        flush_epochs: flush_epoch,
+        estimates,
+        epochs: epochs_closed as u64,
+        epoch_estimates: closed_estimates.into(),
+        settled_totals: settled_cum,
+        churn,
+        // The driver's half, filled in by `run_cluster_on`.
+        wall_time: Duration::ZERO,
+        events: 0,
+        exact_totals: Vec::new(),
+        dropped_epochs: 0,
+        epoch_exact_totals: Vec::new(),
+        open_epoch_exact_totals: Vec::new(),
+    })
 }
 
 /// Check a [`ClusterConfig`] — the one gate every public field passes
@@ -1624,8 +1494,8 @@ where
         let boundary = config.epoch_boundary.unwrap_or(0);
         let coord_handle = scope.spawn(move || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let core = CtlCore::new(protocols, k, ring_cap, coord_downs, hub, boundary);
-                run_coordinator(Coord::new(core), coord_rx)
+                let coord = Coord::new(protocols, k, ring_cap, coord_downs, hub, boundary);
+                run_coordinator(coord, coord_rx)
             }))
             .unwrap_or_else(|_| Err(ClusterError::WorkerPanicked { role: "coordinator".into() }))
         });
@@ -1739,7 +1609,7 @@ where
         // A coordinator panic is converted to a typed error inside the
         // thread; a panicked join here (out-of-memory in the unwind path,
         // say) gets the same typed error instead of a driver panic.
-        let out = coord_handle
+        let mut out = coord_handle
             .join()
             .map_err(|_| ClusterError::WorkerPanicked { role: "coordinator".into() })??;
         if driver_panicked {
@@ -1753,19 +1623,13 @@ where
         // silently truncated.
         let n_counters = protocols.len();
         let retained = (out.epochs as usize).min(config.epoch_ring);
-        debug_assert_eq!(retained, out.closed_estimates.len());
+        debug_assert_eq!(retained, out.epoch_estimates.len());
         let mut epoch_exact_totals = vec![vec![0u64; n_counters]; retained];
         let mut open_epoch_exact_totals = vec![0u64; n_counters];
         let mut exact_totals = vec![0u64; n_counters];
-        let mut churn = ChurnReport {
-            kills: out.kills,
-            revives: out.revives,
-            partial_final_packets: out.partial_final_packets,
-            partial_bytes_discarded: out.partial_bytes_discarded,
-            lost_counts: vec![0; n_counters],
-            site_downtime: vec![Duration::ZERO; k],
-            events_lost: 0,
-        };
+        let churn = &mut out.churn;
+        churn.lost_counts = vec![0; n_counters];
+        churn.site_downtime = vec![Duration::ZERO; k];
         for fin in state_rx.iter() {
             // Every site observes every roll exactly once (dead sites
             // record an all-zero epoch per roll they slept through), so
@@ -1791,20 +1655,12 @@ where
         add_into(&mut exact_totals, &open_epoch_exact_totals);
 
         Ok(ClusterReport {
-            stats: out.stats,
-            coordinator_busy: out.busy,
-            wall_time: Duration::ZERO, // filled below
             events: n_events,
-            flush_epochs: out.flush_epochs,
-            estimates: out.estimates,
             exact_totals,
-            epochs: out.epochs,
             dropped_epochs: out.epochs - retained as u64,
-            epoch_estimates: out.closed_estimates,
             epoch_exact_totals,
             open_epoch_exact_totals,
-            settled_totals: out.settled_totals,
-            churn,
+            ..out
         })
     });
     // Transport pump threads hold the far ends of the links; everything
@@ -1837,7 +1693,7 @@ mod tests {
     use super::*;
     use crate::transport::DownLane;
     use dsbn_counters::wire::WireError;
-    use dsbn_counters::{ExactProtocol, HyzProtocol};
+    use dsbn_counters::{DeterministicProtocol, ExactProtocol, HyzProtocol};
     use dsbn_datagen::chunk_events;
 
     /// Route each event to counter 0 or 1 by the parity of its first value
@@ -2233,10 +2089,10 @@ mod tests {
     // ---- decode/protocol error paths (no panic reachable from bytes) ----
 
     /// A coordinator wired to nowhere: `send_down_all` tolerates closed
-    /// links, so the tests can poke the decode paths directly.
-    fn lone_coord(protocols: &[ExactProtocol], k: usize) -> Coord<'_, ExactProtocol, DownLane> {
+    /// links, so the tests can drive it packet by packet, no threads.
+    fn lone_coord<P: CounterProtocol>(protocols: &[P], k: usize) -> Coord<'_, P, DownLane> {
         let down_txs = (0..k).map(|_| site_inbox(1).1).collect();
-        Coord::new(CtlCore::new(protocols, k, 8, down_txs, None, 0))
+        Coord::new(protocols, k, 8, down_txs, None, 0)
     }
 
     #[test]
@@ -2302,8 +2158,8 @@ mod tests {
 
     #[test]
     fn unexpected_epoch_ack_is_a_protocol_error() {
-        // An ack while no roll is in flight used to trip a debug_assert
-        // inside the roller; it must surface as a typed error instead.
+        // An ack while no roll is in flight must surface as a typed error,
+        // not trip an assertion.
         let protocols = vec![ExactProtocol];
         let mut buf = BytesMut::new();
         encode(&Frame::EpochAck { epoch: 3 }, &mut buf);
@@ -2324,6 +2180,227 @@ mod tests {
         let mut coord = lone_coord(&protocols, 1);
         let err = coord.handle_control(0, buf.freeze()).unwrap_err();
         assert!(matches!(err, ClusterError::Protocol { .. }), "got {err:?}");
+    }
+
+    /// One update packet carrying `msg` for counter 0.
+    fn up_packet(msg: UpMsg) -> Bytes {
+        let mut buf = BytesMut::new();
+        encode(&Frame::Up { counter: 0, msg }, &mut buf);
+        buf.freeze()
+    }
+
+    #[test]
+    fn an_up_message_of_the_wrong_kind_is_a_protocol_error() {
+        // Wire-valid bytes can carry any kind of up message. An exact
+        // counter fed a `Report` and a `Cumulative` used to count each as
+        // one arrival in release (estimate 2) and panic in debug.
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 1);
+        for msg in [UpMsg::Report { round: 0, value: 1_000_000 }, UpMsg::Cumulative { value: 7 }] {
+            let err = coord.handle_updates(0, up_packet(msg)).unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::Protocol { context: "up packet", detail }
+                    if detail.contains("not a kind")),
+                "got {err:?}"
+            );
+        }
+        assert_eq!(coord.estimates(), vec![0.0]);
+        assert_eq!(coord.stats.up_messages, 0);
+    }
+
+    /// `takes` apply cleanly and every one of `refuses` is a protocol error.
+    fn check_kinds<P: CounterProtocol>(protocols: &[P], takes: &[UpMsg], refuses: &[UpMsg]) {
+        let mut coord = lone_coord(protocols, 2);
+        for &msg in takes {
+            assert!(coord.handle_updates(0, up_packet(msg)).is_ok(), "{msg:?} refused");
+        }
+        for &msg in refuses {
+            let err = coord.handle_updates(0, up_packet(msg)).unwrap_err();
+            assert!(
+                matches!(err, ClusterError::Protocol { context: "up packet", .. }),
+                "{msg:?}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_scheme_refuses_the_kinds_its_sites_never_send() {
+        let inc = UpMsg::Increment;
+        let cum = UpMsg::Cumulative { value: 3 };
+        let report = UpMsg::Report { round: 0, value: 1 };
+        let reply = UpMsg::SyncReply { round: 0, value: 1 };
+        check_kinds(&[ExactProtocol], &[inc], &[cum, report, reply]);
+        check_kinds(&[HyzProtocol::new(0.1)], &[report, reply], &[inc, cum]);
+        check_kinds(&[DeterministicProtocol::new(0.1)], &[cum], &[inc, report, reply]);
+    }
+
+    // ---- the epoch roll and the site roster, driven without threads ----
+
+    /// `site` acks the roll of `epoch` with an empty settlement.
+    fn ack(coord: &mut Coord<'_, ExactProtocol, DownLane>, site: usize, epoch: u32) {
+        let mut buf = BytesMut::new();
+        encode(&Frame::EpochAck { epoch }, &mut buf);
+        coord.handle_control(site, buf.freeze()).expect("a well-formed ack");
+    }
+
+    /// `site`'s terminal `Crashed` marker, with no torn packet.
+    fn crash(coord: &mut Coord<'_, ExactProtocol, DownLane>, site: usize) {
+        coord.handle_crashed(site, Bytes::new()).expect("a first crash");
+    }
+
+    #[test]
+    fn roll_handshake_and_staleness() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 3);
+        coord.request_roll();
+        assert!(coord.rolling);
+        // Everybody is stale until they ack: an update is counted, but
+        // the settlement that follows it carries its count.
+        assert!((0..3).all(|s| coord.is_stale(s)));
+        coord.handle_updates(0, up_packet(UpMsg::Increment)).unwrap();
+        assert_eq!((coord.stats.up_messages, coord.estimates()[0]), (1, 0.0));
+        ack(&mut coord, 1, 0);
+        assert!(!coord.is_stale(1) && coord.is_stale(0));
+        coord.handle_updates(1, up_packet(UpMsg::Increment)).unwrap();
+        assert_eq!((coord.stats.up_messages, coord.estimates()[0]), (2, 1.0));
+        ack(&mut coord, 0, 0);
+        assert!(coord.rolling);
+        ack(&mut coord, 2, 0);
+        assert!(!coord.rolling);
+        assert_eq!(coord.epochs_closed, 1);
+        assert!(!coord.is_stale(0));
+    }
+
+    #[test]
+    fn overlapping_roll_requests_queue() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 2);
+        coord.request_roll();
+        coord.request_roll(); // queued
+        ack(&mut coord, 0, 0);
+        ack(&mut coord, 1, 0);
+        // Settling starts the queued roll at once.
+        assert_eq!(coord.epochs_closed, 1);
+        assert!(coord.rolling);
+        ack(&mut coord, 0, 1);
+        ack(&mut coord, 1, 1);
+        assert_eq!(coord.epochs_closed, 2);
+        assert!(!coord.rolling);
+    }
+
+    #[test]
+    fn a_crash_completes_the_roll_in_flight() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 3);
+        coord.request_roll();
+        ack(&mut coord, 0, 0);
+        ack(&mut coord, 1, 0);
+        // Site 2 crashes with its ack outstanding: the roll completes.
+        crash(&mut coord, 2);
+        assert!(!coord.rolling);
+        assert_eq!(coord.epochs_closed, 1);
+        // A second crash without a revive is refused, not forgotten twice.
+        let err = coord.handle_crashed(2, Bytes::new()).unwrap_err();
+        assert!(matches!(err, ClusterError::Protocol { context: "crash marker", .. }));
+    }
+
+    #[test]
+    fn a_dead_site_is_preacked_in_later_rolls() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 3);
+        crash(&mut coord, 1);
+        coord.request_roll();
+        // The dead slot is pre-acked, so its (impossible) updates are not
+        // attributed to the closing epoch.
+        assert!(!coord.is_stale(1));
+        assert!(coord.is_stale(0) && coord.is_stale(2));
+        ack(&mut coord, 0, 0);
+        ack(&mut coord, 2, 0);
+        assert_eq!(coord.epochs_closed, 1);
+        // After the rejoin the next roll waits on it again.
+        coord.rejoin(1);
+        coord.request_roll();
+        assert!(coord.is_stale(1));
+        ack(&mut coord, 0, 1);
+        ack(&mut coord, 2, 1);
+        assert!(coord.rolling);
+    }
+
+    #[test]
+    fn an_all_dead_roll_completes_on_request() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 2);
+        crash(&mut coord, 0);
+        crash(&mut coord, 1);
+        // No ack can ever arrive; the roll settles as it starts.
+        coord.request_roll();
+        assert!(!coord.rolling);
+        assert_eq!(coord.epochs_closed, 1);
+    }
+
+    #[test]
+    fn duplicate_acks_are_ignored() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 2);
+        coord.request_roll();
+        ack(&mut coord, 0, 0);
+        ack(&mut coord, 0, 0);
+        assert!(coord.rolling);
+        ack(&mut coord, 1, 0);
+        assert!(!coord.rolling);
+    }
+
+    #[test]
+    fn a_site_revived_after_a_roll_settles_must_ack_the_next() {
+        let protocols = vec![ExactProtocol];
+        let mut coord = lone_coord(&protocols, 3);
+        coord.request_roll();
+        ack(&mut coord, 0, 0);
+        // Site 2 dies mid-roll; site 1 is still outstanding.
+        crash(&mut coord, 2);
+        assert!(coord.rolling);
+        ack(&mut coord, 1, 0);
+        assert_eq!(coord.epochs_closed, 1);
+        // The driver's revive finds the site dead and rejoins it.
+        coord.handle_inject(2, false).unwrap();
+        assert_eq!(coord.alive_sites(), 3);
+        coord.request_roll();
+        ack(&mut coord, 0, 1);
+        ack(&mut coord, 1, 1);
+        assert!(coord.rolling && coord.is_stale(2), "the roll must wait for site 2");
+        ack(&mut coord, 2, 1);
+        assert!(!coord.rolling);
+        assert_eq!(coord.epochs_closed, 2);
+    }
+
+    #[test]
+    fn a_roll_settled_by_a_crash_mints_the_epoch_it_settled() {
+        // Whichever event completes a roll — the last ack or the last
+        // holdout's crash — the snapshot minted at the settlement holds
+        // the epoch just settled. A crash-completed roll used to mint
+        // before freezing the settlement: `epochs` one short and the
+        // epoch's settled counts missing until the next mint.
+        let protocols = vec![ExactProtocol];
+        for by_crash in [false, true] {
+            let hub = SnapshotHub::new();
+            let mut coord = lone_coord(&protocols, 2);
+            coord.hub = Some(hub.clone());
+            coord.boundary = 100;
+            coord.request_roll();
+            let mut buf = BytesMut::new();
+            encode(&Frame::Up { counter: 0, msg: UpMsg::Cumulative { value: 5 } }, &mut buf);
+            encode(&Frame::EpochAck { epoch: 0 }, &mut buf);
+            coord.handle_control(0, buf.freeze()).unwrap();
+            if by_crash {
+                crash(&mut coord, 1);
+            } else {
+                ack(&mut coord, 1, 0);
+            }
+            let snap = hub.load();
+            assert_eq!((snap.seq, snap.epochs, snap.events), (1, 1, 100), "by_crash {by_crash}");
+            assert_eq!(snap.settled, vec![5.0], "by_crash {by_crash}");
+            assert_eq!(snap.closed, vec![vec![5.0]], "by_crash {by_crash}");
+        }
     }
 
     #[test]
