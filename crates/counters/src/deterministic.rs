@@ -88,15 +88,14 @@ impl CounterProtocol for DeterministicProtocol {
     }
 
     fn handle_up(&self, coord: &mut DetCoord, site_id: usize, msg: UpMsg) -> Option<DownMsg> {
+        // Reports are monotone per site; out-of-order delivery in the
+        // cluster runtime is handled by ignoring regressions. A kind
+        // `accepts` refuses is ignored.
         if let UpMsg::Cumulative { value } = msg {
-            // Reports are monotone per site; out-of-order delivery in the
-            // cluster runtime is handled by ignoring regressions.
             if value > coord.last[site_id] {
                 coord.sum += value - coord.last[site_id];
                 coord.last[site_id] = value;
             }
-        } else {
-            debug_assert!(false, "unexpected message {msg:?}");
         }
         None
     }
@@ -119,9 +118,6 @@ impl CounterProtocol for DeterministicProtocol {
         coord.last[site_id] = 0;
         None
     }
-
-    // `rejoin_site` default: with `last` zeroed, the rejoining site's fresh
-    // reports are accepted by the regression guard as-is.
 }
 
 #[cfg(test)]
@@ -192,7 +188,7 @@ mod tests {
         assert_eq!(proto.estimate(&coord), 100.0);
         // Post-rejoin the fresh site reports small cumulative values; the
         // zeroed guard accepts them instead of treating them as stale.
-        assert_eq!(proto.rejoin_site(&mut coord, 1), None);
+        assert_eq!(proto.catch_up(&coord), None);
         proto.handle_up(&mut coord, 1, UpMsg::Cumulative { value: 3 });
         assert_eq!(proto.estimate(&coord), 103.0);
     }
@@ -214,6 +210,24 @@ mod tests {
         }
         assert_eq!(proto.estimate(&every).to_bits(), proto.estimate(&last).to_bits());
         assert_eq!((every.last, every.sum), (last.last, last.sum));
+    }
+
+    #[test]
+    fn a_kind_it_does_not_accept_is_ignored() {
+        // Debug and release alike: no panic, no state change.
+        let proto = DeterministicProtocol::new(0.2);
+        let mut coord = proto.new_coord(2);
+        proto.handle_up(&mut coord, 0, UpMsg::Cumulative { value: 10 });
+        let refused = [
+            UpMsg::Increment,
+            UpMsg::Report { round: 0, value: 9 },
+            UpMsg::SyncReply { round: 0, value: 50 },
+        ];
+        for msg in refused {
+            assert!(!proto.accepts(&msg));
+            assert_eq!(proto.handle_up(&mut coord, 0, msg), None);
+        }
+        assert_eq!((coord.last, coord.sum), (vec![10, 0], 10));
     }
 
     #[test]

@@ -58,8 +58,11 @@ impl CounterProtocol for ExactProtocol {
     }
 
     fn handle_up(&self, coord: &mut ExactCoord, site_id: usize, msg: UpMsg) -> Option<DownMsg> {
-        debug_assert!(matches!(msg, UpMsg::Increment));
-        coord.per_site[site_id] += 1;
+        // Only an `Increment` is an arrival; a kind `accepts` refuses is
+        // ignored.
+        if msg == UpMsg::Increment {
+            coord.per_site[site_id] += 1;
+        }
         None
     }
 
@@ -81,9 +84,6 @@ impl CounterProtocol for ExactProtocol {
         coord.per_site[site_id] = 0;
         None
     }
-
-    // `rejoin_site` default: nothing to restore — the rejoining site starts
-    // a fresh local count and its slot re-accumulates from zero.
 }
 
 #[cfg(test)]
@@ -132,12 +132,32 @@ mod tests {
         assert_eq!(proto.estimate(&coord), 23.0);
         assert_eq!(proto.site_crashed(&mut coord, 1), None);
         assert_eq!(proto.estimate(&coord), 16.0);
-        // Idempotent; rejoin restores nothing (fresh site counts from 0).
+        // Idempotent; no catch-up (a rejoining site counts from 0).
         assert_eq!(proto.site_crashed(&mut coord, 1), None);
-        assert_eq!(proto.rejoin_site(&mut coord, 1), None);
+        assert_eq!(proto.catch_up(&coord), None);
         assert_eq!(proto.estimate(&coord), 16.0);
         proto.handle_up(&mut coord, 1, UpMsg::Increment);
         assert_eq!(proto.estimate(&coord), 17.0);
+    }
+
+    #[test]
+    fn only_an_increment_counts() {
+        // Debug and release alike: a kind `accepts` refuses neither panics
+        // nor counts as an arrival.
+        let proto = ExactProtocol;
+        let mut coord = proto.new_coord(1);
+        let refused = [
+            UpMsg::Report { round: 0, value: 9 },
+            UpMsg::Cumulative { value: 7 },
+            UpMsg::SyncReply { round: 0, value: 5 },
+        ];
+        for msg in refused {
+            assert!(!proto.accepts(&msg));
+            assert_eq!(proto.handle_up(&mut coord, 0, msg), None);
+        }
+        assert_eq!(proto.estimate(&coord), 0.0);
+        proto.handle_up(&mut coord, 0, UpMsg::Increment);
+        assert_eq!(proto.estimate(&coord), 1.0);
     }
 
     #[test]

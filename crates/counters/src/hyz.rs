@@ -39,6 +39,15 @@
 //! (it counts arrivals but does not report); arrival counts accumulated
 //! while muted are carried into the next round's reports, so nothing is
 //! lost under asynchronous delivery.
+//!
+//! The coordinator keeps the round's sums in integers: each site's last
+//! report `r_i` (a `u64`), their sum, and the number `n` of sites that
+//! reported, so the estimate is `(S0 + sum_i r_i) + n (1/p - 1)` — the
+//! estimator above, unchanged; only its arithmetic left a running f64
+//! sum. It depends only on each site's last report, never on the order or
+//! number of earlier ones, so a runtime that ships a site's last report
+//! alone (the cluster's supersede rule) leaves the coordinator
+//! bit-identical at every `p`.
 
 use crate::msg::{DownMsg, UpMsg};
 use crate::protocol::CounterProtocol;
@@ -75,8 +84,13 @@ impl HyzProtocol {
 /// parameterized by `ln(1 - p)` — constant within a round and cached in
 /// [`HyzSite`], so the gap draw on the increment hot path costs one `ln`
 /// and one division instead of two `ln`s.
+///
+/// `ln_1mp < 0` for every `p` a coordinator sends: `sampling_probability`
+/// is at least `1 / s0`, and `1 - p` rounds below 1 while `s0 < 2^54`. A
+/// `NewRound` off the wire may carry any `p`; one `<= 2^-54` or NaN makes
+/// `ln_1mp` `>= 0` or NaN, the saturating cast below yields 0, and the gap
+/// is 1 — every arrival reports, as at `p = 1` — in every profile.
 fn draw_gap<R: Rng + ?Sized>(rng: &mut R, ln_1mp: f64) -> u64 {
-    debug_assert!(ln_1mp < 0.0);
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let g = (u.ln() / ln_1mp).floor();
     if g >= u64::MAX as f64 {
@@ -121,9 +135,20 @@ pub struct HyzCoord {
     correction: f64,
     /// Exact global count at the last sync.
     s0: u64,
-    /// Per-site `r_i + 1/p - 1` contribution (0 when no report this round).
-    contrib: Vec<f64>,
-    contrib_sum: f64,
+    /// Per-site last report `r_i` this round; 0 when none came (a report
+    /// carries at least one arrival).
+    last: Vec<u64>,
+    /// `last.iter().sum()`, modulo 2^64: exact whenever the true sum fits,
+    /// and a forged report near `u64::MAX` neither panics in debug nor
+    /// outlives the report that supersedes it.
+    last_sum: u64,
+    /// Sites with a report this round: `last` entries that are nonzero.
+    n_reported: usize,
+    /// `(s0 + last_sum) + n_reported · correction`, recomputed whenever a
+    /// term changes: a simulator query reads every counter it touches
+    /// live, so a read must cost one load, not two conversions and a
+    /// multiply.
+    estimate: f64,
     /// Close the round when the estimate reaches this.
     threshold: f64,
     /// A sync is in flight.
@@ -136,8 +161,6 @@ pub struct HyzCoord {
     /// order-independent, so the no-fault path is bit-identical.
     synced: Vec<u64>,
     n_replies: usize,
-    /// Crashed sites: excluded from every reply quorum until rejoin.
-    dead: Vec<bool>,
 }
 
 impl HyzCoord {
@@ -162,10 +185,26 @@ impl HyzProtocol {
         coord.p = self.sampling_probability(coord.k, coord.s0);
         coord.correction = 1.0 / coord.p - 1.0;
         coord.threshold = 2.0 * coord.s0 as f64;
-        coord.contrib.iter_mut().for_each(|c| *c = 0.0);
-        coord.contrib_sum = 0.0;
+        coord.last.fill(0);
+        coord.last_sum = 0;
+        coord.n_reported = 0;
         coord.syncing = false;
+        Self::refresh(coord);
         DownMsg::NewRound { round: coord.round, p: coord.p }
+    }
+
+    /// Make `value` site `site_id`'s last report of the round (0: none).
+    fn set_last(coord: &mut HyzCoord, site_id: usize, value: u64) {
+        let prev = std::mem::replace(&mut coord.last[site_id], value);
+        coord.last_sum = coord.last_sum.wrapping_sub(prev).wrapping_add(value);
+        coord.n_reported = coord.n_reported + usize::from(value > 0) - usize::from(prev > 0);
+        Self::refresh(coord);
+    }
+
+    /// Recompute the stored estimate from the integer sums.
+    fn refresh(coord: &mut HyzCoord) {
+        coord.estimate = coord.s0.wrapping_add(coord.last_sum) as f64
+            + coord.n_reported as f64 * coord.correction;
     }
 }
 
@@ -194,14 +233,15 @@ impl CounterProtocol for HyzProtocol {
             p: 1.0,
             correction: 0.0,
             s0: 0,
-            contrib: vec![0.0; k],
-            contrib_sum: 0.0,
+            last: vec![0; k],
+            last_sum: 0,
+            n_reported: 0,
+            estimate: 0.0,
             threshold: t0,
             syncing: false,
             replied: vec![false; k],
             synced: vec![0; k],
             n_replies: 0,
-            dead: vec![false; k],
         }
     }
 
@@ -295,29 +335,11 @@ impl CounterProtocol for HyzProtocol {
                 if coord.syncing || round != coord.round {
                     return None; // stale
                 }
-                let new_contrib = value as f64 + coord.correction;
-                coord.contrib_sum += new_contrib - coord.contrib[site_id];
-                coord.contrib[site_id] = new_contrib;
-                let estimate = coord.s0 as f64 + coord.contrib_sum;
-                if estimate >= coord.threshold {
+                Self::set_last(coord, site_id, value);
+                if coord.estimate >= coord.threshold {
                     coord.syncing = true;
                     coord.n_replies = 0;
-                    // Dead sites can never answer: pre-fill their slots
-                    // (anchor 0 — their counts are wiped) so the quorum is
-                    // over the live sites only.
-                    for i in 0..coord.k {
-                        if coord.dead[i] {
-                            coord.replied[i] = true;
-                            coord.synced[i] = 0;
-                            coord.n_replies += 1;
-                        } else {
-                            coord.replied[i] = false;
-                        }
-                    }
-                    debug_assert!(
-                        coord.n_replies < coord.k,
-                        "sync opened with no live site (reports come from live sites)"
-                    );
+                    coord.replied.fill(false);
                     return Some(DownMsg::SyncRequest { round: coord.round });
                 }
                 None
@@ -335,16 +357,14 @@ impl CounterProtocol for HyzProtocol {
                 // All live sites answered: open the next round.
                 Some(self.open_next_round(coord))
             }
-            other => {
-                debug_assert!(false, "unexpected message {other:?}");
-                None
-            }
+            // A kind `accepts` refuses: ignored.
+            UpMsg::Increment | UpMsg::Cumulative { .. } => None,
         }
     }
 
     #[inline]
     fn estimate(&self, coord: &HyzCoord) -> f64 {
-        (coord.s0 as f64 + coord.contrib_sum).max(0.0)
+        coord.estimate
     }
 
     fn site_local_count(&self, site: &HyzSite) -> u64 {
@@ -352,28 +372,7 @@ impl CounterProtocol for HyzProtocol {
     }
 
     fn site_crashed(&self, coord: &mut HyzCoord, site_id: usize) -> Option<DownMsg> {
-        if coord.dead[site_id] {
-            return None;
-        }
-        coord.dead[site_id] = true;
-        // Forget the site's within-round contribution: its unreported
-        // arrivals were never at the coordinator and its reported ones are
-        // wiped site-side, so the estimate must track the survivors.
-        coord.contrib_sum -= coord.contrib[site_id];
-        coord.contrib[site_id] = 0.0;
-        if coord.syncing {
-            // Drop the site's anchor from the round base being collected.
-            coord.synced[site_id] = 0;
-            if !coord.replied[site_id] {
-                coord.replied[site_id] = true;
-                coord.n_replies += 1;
-                if coord.n_replies == coord.k {
-                    // The crash removed the last outstanding reply: the
-                    // sync completes over the survivors instead of wedging.
-                    return Some(self.open_next_round(coord));
-                }
-            }
-        } else {
+        if !coord.syncing {
             // `s0 == synced.iter().sum()` since the last sync: subtract
             // exactly this site's anchor so `s0` becomes the survivors'
             // exact count at that sync. The threshold and `p` keep their
@@ -381,25 +380,31 @@ impl CounterProtocol for HyzProtocol {
             // to the shrunken base (the quantified degradation under
             // churn; see the monitor crate's DESIGN.md §8).
             coord.s0 = coord.s0.saturating_sub(coord.synced[site_id]);
-            coord.synced[site_id] = 0;
+        }
+        // Drop the site's anchor (from `s0` above, or from the round base
+        // being collected) and forget its within-round contribution: its
+        // unreported arrivals were never at the coordinator and its
+        // reported ones are wiped site-side, so the estimate must track
+        // the survivors.
+        coord.synced[site_id] = 0;
+        Self::set_last(coord, site_id, 0);
+        if coord.syncing && !coord.replied[site_id] {
+            coord.replied[site_id] = true;
+            coord.n_replies += 1;
+            if coord.n_replies == coord.k {
+                // The crash removed the last outstanding reply: the sync
+                // completes over the survivors instead of wedging.
+                return Some(self.open_next_round(coord));
+            }
         }
         None
     }
 
-    fn rejoin_site(&self, coord: &mut HyzCoord, site_id: usize) -> Option<DownMsg> {
-        if !coord.dead[site_id] {
-            return None;
-        }
-        coord.dead[site_id] = false;
-        debug_assert_eq!(coord.synced[site_id], 0);
-        debug_assert_eq!(coord.contrib[site_id], 0.0);
-        // Catch the fresh site (round 0, p = 1) up to the current round so
-        // its reports carry the live round tag and the next `SyncRequest`
-        // is not stale at it. At round 0 the site's own stale guard makes
-        // this a no-op. If a sync is in flight the site stays pre-filled
-        // (`replied`) — it completes without the rejoiner, whose fresh
-        // count is ~0 anyway — and the completing `NewRound` advances it.
-        Some(DownMsg::NewRound { round: coord.round, p: coord.p })
+    fn catch_up(&self, coord: &HyzCoord) -> Option<DownMsg> {
+        // A fresh site starts at round 0 with p = 1: past round 0 it needs
+        // the open round so its reports carry the live tag and the next
+        // `SyncRequest` is not stale at it.
+        (coord.round > 0).then_some(DownMsg::NewRound { round: coord.round, p: coord.p })
     }
 }
 
@@ -692,83 +697,8 @@ mod tests {
         assert!((est - 30.0).abs() < 1e-9, "estimate {est}");
     }
 
-    #[test]
-    fn sync_opened_after_crash_prefills_dead_site() {
-        let proto = HyzProtocol::new(0.9);
-        let k = 3;
-        let mut coord = proto.new_coord(k);
-        assert_eq!(proto.site_crashed(&mut coord, 1), None);
-        // Drive reports until the threshold opens a sync; the dead site
-        // must be pre-filled so only the two live replies complete it.
-        let mut opened = false;
-        for v in 1..100u64 {
-            if let Some(DownMsg::SyncRequest { round: 0 }) =
-                proto.handle_up(&mut coord, 0, UpMsg::Report { round: 0, value: v })
-            {
-                opened = true;
-                break;
-            }
-        }
-        assert!(opened);
-        assert_eq!(coord.n_replies, 1); // the dead slot
-        assert_eq!(proto.handle_up(&mut coord, 0, UpMsg::SyncReply { round: 0, value: 50 }), None);
-        let out = proto.handle_up(&mut coord, 2, UpMsg::SyncReply { round: 0, value: 3 });
-        assert!(matches!(out, Some(DownMsg::NewRound { round: 1, .. })), "{out:?}");
-        assert_eq!(coord.s0, 53);
-    }
-
-    #[test]
-    fn rejoin_returns_catchup_and_restores_quorum() {
-        let proto = HyzProtocol::new(0.1);
-        let mut coord = proto.new_coord(2);
-        coord.syncing = true;
-        let _ = proto.handle_up(&mut coord, 0, UpMsg::SyncReply { round: 0, value: 20 });
-        let out = proto.handle_up(&mut coord, 1, UpMsg::SyncReply { round: 0, value: 20 });
-        assert!(matches!(out, Some(DownMsg::NewRound { round: 1, .. })));
-        let _ = proto.site_crashed(&mut coord, 1);
-        // Rejoin: catch-up carries the *current* round and p.
-        let catchup = proto.rejoin_site(&mut coord, 1);
-        match catchup {
-            Some(DownMsg::NewRound { round, p }) => {
-                assert_eq!(round, coord.round);
-                assert_eq!(p, coord.p);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Not dead: rejoin is idempotent, and the next sync waits on it.
-        assert_eq!(proto.rejoin_site(&mut coord, 1), None);
-        // A fresh site fast-forwarded by that catch-up answers the next
-        // sync normally.
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut site = proto.new_site();
-        let reply = proto.handle_down(
-            &mut site,
-            DownMsg::NewRound { round: coord.round, p: coord.p },
-            &mut rng,
-        );
-        assert_eq!(reply, None); // fresh site: nothing pending to replay
-        assert_eq!(site.round, coord.round);
-    }
-
-    #[test]
-    fn catchup_at_round_zero_is_noop_at_site() {
-        let proto = HyzProtocol::new(0.1);
-        let mut coord = proto.new_coord(2);
-        let _ = proto.site_crashed(&mut coord, 0);
-        let catchup = proto.rejoin_site(&mut coord, 0);
-        assert_eq!(catchup, Some(DownMsg::NewRound { round: 0, p: 1.0 }));
-        // The site's stale guard (`round <= site.round`) discards it.
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut site = proto.new_site();
-        assert_eq!(proto.handle_down(&mut site, catchup.unwrap(), &mut rng), None);
-        assert_eq!(site.round, 0);
-        assert_eq!(site.p, 1.0);
-    }
-
     /// A `k = 4` coordinator in round 1 with `s0 = 64`: `p = 2 / (0.5 ·
-    /// 64) = 1/16`, so the correction `1/p − 1 = 15` and every
-    /// contribution are integers, exact in f64 — the incrementally kept
-    /// `contrib_sum` then cannot round differently along two paths.
+    /// 64) = 1/16`.
     fn coord_at_round_one(proto: &HyzProtocol) -> HyzCoord {
         let mut coord = proto.new_coord(4);
         coord.syncing = true;
@@ -795,7 +725,118 @@ mod tests {
             assert_eq!(proto.handle_up(&mut last, site, report(value)), None);
         }
         assert_eq!(proto.estimate(&every).to_bits(), proto.estimate(&last).to_bits());
-        assert_eq!(every.contrib, last.contrib);
+        assert_eq!(every.last, last.last);
+    }
+
+    #[test]
+    fn supersede_is_bit_exact_at_a_non_dyadic_p() {
+        // Anchors 17/18/19 put k = 3 in round 1 at s0 = 54, so p =
+        // sqrt(3) / (0.3 · 54) and the correction 1/p − 1 are inexact in
+        // f64. Over random interleavings of rising per-site reports, the
+        // estimate after every report must equal, bit for bit, that of a
+        // coordinator fed only each site's last report so far.
+        let proto = HyzProtocol::new(0.3);
+        let fresh = || {
+            let mut coord = proto.new_coord(3);
+            coord.syncing = true;
+            for (site, value) in [(0, 17), (1, 18), (2, 19)] {
+                let _ = proto.handle_up(&mut coord, site, UpMsg::SyncReply { round: 0, value });
+            }
+            assert_eq!((coord.round, coord.s0, coord.threshold), (1, 54, 108.0));
+            coord
+        };
+        let report = |value| UpMsg::Report { round: 1, value };
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for sequence in 0..2_000 {
+            let mut every = fresh();
+            let mut latest = [0u64; 3];
+            // At most 12 reports rising by 1 or 2: the estimate stays
+            // below 54 + 24 + 3 · 8.36 < 108, so no sync opens.
+            for _ in 0..rng.gen_range(1..=12) {
+                let site = rng.gen_range(0..3);
+                latest[site] += rng.gen_range(1..=2u64);
+                assert_eq!(proto.handle_up(&mut every, site, report(latest[site])), None);
+                let mut last = fresh();
+                for (site, &value) in latest.iter().enumerate().filter(|(_, &v)| v > 0) {
+                    assert_eq!(proto.handle_up(&mut last, site, report(value)), None);
+                }
+                assert_eq!(
+                    proto.estimate(&every).to_bits(),
+                    proto.estimate(&last).to_bits(),
+                    "sequence {sequence}, latest {latest:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn catch_up_fast_forwards_a_fresh_site() {
+        let proto = HyzProtocol::new(0.5);
+        // Round 0: a fresh site is already there.
+        assert_eq!(proto.catch_up(&proto.new_coord(4)), None);
+        let coord = coord_at_round_one(&proto);
+        let catch_up = proto.catch_up(&coord);
+        assert_eq!(catch_up, Some(DownMsg::NewRound { round: 1, p: 1.0 / 16.0 }));
+        // A fresh site adopts the round (nothing pending to replay) and
+        // answers that round's sync.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut site = proto.new_site();
+        assert_eq!(proto.handle_down(&mut site, catch_up.unwrap(), &mut rng), None);
+        assert_eq!((site.round, site.p), (1, 1.0 / 16.0));
+        assert_eq!(
+            proto.handle_down(&mut site, DownMsg::SyncRequest { round: 1 }, &mut rng),
+            Some(UpMsg::SyncReply { round: 1, value: 0 })
+        );
+    }
+
+    #[test]
+    fn a_kind_it_does_not_accept_is_ignored() {
+        // Debug and release alike: no panic, no state change.
+        let proto = HyzProtocol::new(0.5);
+        let mut coord = coord_at_round_one(&proto);
+        let _ = proto.handle_up(&mut coord, 1, UpMsg::Report { round: 1, value: 3 });
+        let before = proto.estimate(&coord);
+        for msg in [UpMsg::Increment, UpMsg::Cumulative { value: 1_000 }] {
+            assert!(!proto.accepts(&msg));
+            assert_eq!(proto.handle_up(&mut coord, 0, msg), None);
+        }
+        assert_eq!(proto.estimate(&coord).to_bits(), before.to_bits());
+        assert_eq!(coord.last, vec![0, 3, 0, 0]);
+    }
+
+    #[test]
+    fn a_forged_report_near_u64_max_does_not_outlive_its_successor() {
+        // Wire-valid bytes can carry any value. The integer sums wrap
+        // instead of panicking in debug, and the next report supersedes
+        // the forged one exactly.
+        let proto = HyzProtocol::new(0.5);
+        let mut clean = coord_at_round_one(&proto);
+        let mut forged = coord_at_round_one(&proto);
+        let _ = proto.handle_up(&mut forged, 0, UpMsg::Report { round: 1, value: u64::MAX });
+        for coord in [&mut clean, &mut forged] {
+            assert_eq!(proto.handle_up(coord, 0, UpMsg::Report { round: 1, value: 5 }), None);
+        }
+        assert_eq!(proto.estimate(&forged).to_bits(), proto.estimate(&clean).to_bits());
+        assert_eq!(proto.estimate(&clean), 64.0 + 5.0 + 15.0);
+    }
+
+    #[test]
+    fn a_site_sent_an_unreachable_p_reports_every_arrival() {
+        // A `NewRound` off the wire can carry any f64. Where `ln(1 − p)`
+        // is not negative the gap is 1 in debug and release alike.
+        let proto = HyzProtocol::new(0.5);
+        let mut rng = StdRng::seed_from_u64(8);
+        for p in [0.0, -0.5, f64::NAN, 2f64.powi(-60)] {
+            let mut site = proto.new_site();
+            assert_eq!(
+                proto.handle_down(&mut site, DownMsg::NewRound { round: 1, p }, &mut rng),
+                None
+            );
+            for value in 1..=5 {
+                let up = proto.increment(&mut site, &mut rng);
+                assert_eq!(up, Some(UpMsg::Report { round: 1, value }), "p = {p}");
+            }
+        }
     }
 
     #[test]

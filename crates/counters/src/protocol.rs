@@ -64,25 +64,26 @@ pub trait CounterProtocol {
     fn site_local_count(&self, site: &Self::Site) -> u64;
 
     /// A site crashed (fail-stop): all of its unsettled local state is gone
-    /// and no further message from it will arrive until
-    /// [`rejoin_site`](Self::rejoin_site). The coordinator must *forget* the
-    /// site's unsettled contribution so the estimate tracks the surviving
-    /// counts, and must stop waiting on the site in any reply quorum — a
-    /// crash may therefore complete an in-flight collective step, in which
-    /// case the completing broadcast is returned. Idempotent. The default
-    /// is a no-op for protocols with no per-site coordinator state and no
-    /// reply quorums.
+    /// and no further message from it will arrive until it rejoins with
+    /// fresh state. The coordinator must *forget* the site's unsettled
+    /// contribution so the estimate tracks the surviving counts, and must
+    /// stop waiting on the site in any reply quorum — a crash may therefore
+    /// complete an in-flight collective step, in which case the completing
+    /// broadcast is returned. Must be idempotent: the runtime calls it at
+    /// the crash and again after each broadcast while the site stays dead,
+    /// which is how a quorum opened by that broadcast learns not to wait on
+    /// the site. The default is a no-op for protocols with no per-site
+    /// coordinator state and no reply quorums.
     fn site_crashed(&self, _coord: &mut Self::Coord, _site_id: usize) -> Option<DownMsg> {
         None
     }
 
-    /// A crashed site rejoined with *fresh* site state (`new_site`). The
-    /// coordinator marks it live again and may return a catch-up broadcast
-    /// to fast-forward the returning site into the current round; the
-    /// runtime delivers it to the rejoining site only (ahead of any later
-    /// broadcast, on the same FIFO link). Idempotent; the default is a
-    /// no-op.
-    fn rejoin_site(&self, _coord: &mut Self::Coord, _site_id: usize) -> Option<DownMsg> {
+    /// The broadcast that fast-forwards a site rejoining with *fresh*
+    /// state (`new_site`) into the coordinator's current round, or `None`
+    /// when a fresh site is already there. The runtime delivers it to the
+    /// rejoining site only, ahead of any later broadcast on the same FIFO
+    /// link. The default is `None`.
+    fn catch_up(&self, _coord: &Self::Coord) -> Option<DownMsg> {
         None
     }
 }

@@ -83,8 +83,8 @@ use std::time::{Duration, Instant};
 /// in-band (FIFO with the arrivals), so the site crashes after ingesting
 /// precisely the events routed to it before `kill_at` — every scheduled
 /// kill fires, on every interleaving. Revives detour through the
-/// coordinator (the catch-up payload needs its round cache) and land
-/// asynchronously, like every other cluster boundary.
+/// coordinator (the catch-up payload comes from its protocol states) and
+/// land asynchronously, like every other cluster boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteFault {
     /// Which site to kill.
@@ -793,11 +793,6 @@ struct Coord<'a, P: CounterProtocol, D: DownSender> {
     /// Revive orders that arrived while the kill was still in flight
     /// (site `Dying`): applied as soon as the `Crashed` marker lands.
     pending_revive: Vec<bool>,
-    /// Per-counter cache of the last round broadcast, `(round, p)` —
-    /// `(0, 1.0)` before any broadcast and after every epoch roll. This is
-    /// the rejoin catch-up source: a reviving site replays exactly these
-    /// `NewRound` frames to re-INIT its protocols mid-round.
-    rounds: Vec<(u32, f64)>,
     /// Kills, revives and torn final packets; the driver adds the sites'
     /// loss ledgers after the run.
     churn: ChurnReport,
@@ -834,7 +829,6 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
             boundary,
             status: vec![SiteStatus::Alive; k],
             pending_revive: vec![false; k],
-            rounds: vec![(0, 1.0); n],
             churn: ChurnReport::default(),
             busy: None,
         }
@@ -1055,27 +1049,18 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
     }
 
     /// Re-admit a dead site, then send the revive order with its catch-up
-    /// payload: one `NewRound` frame per counter with an open round (from
-    /// the round cache), so the returning site re-INITs its protocols
-    /// mid-round. The `rejoin_site` hooks' returns are discarded: their
-    /// announcement is the current round, which the catch-up already
-    /// carries to the one site that needs it. FIFO on the down link orders
-    /// the catch-up ahead of every later broadcast, so the site can never
-    /// observe round `r + 1` before `r`.
+    /// payload: each counter's [`CounterProtocol::catch_up`] frame, so the
+    /// returning site re-INITs its protocols mid-round. FIFO on the down
+    /// link orders the catch-up ahead of every later broadcast, so the
+    /// site can never observe round `r + 1` before `r`.
     fn rejoin(&mut self, site: usize) {
         self.churn.revives += 1;
         self.status[site] = SiteStatus::Alive;
         self.pending_revive[site] = false;
-        for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
-            let _ = p.rejoin_site(coord, site);
-        }
         let mut buf = BytesMut::new();
-        for (c, &(round, p)) in self.rounds.iter().enumerate() {
-            if round > 0 {
-                encode(
-                    &Frame::Down { counter: c as u32, msg: DownMsg::NewRound { round, p } },
-                    &mut buf,
-                );
+        for (c, (p, coord)) in self.protocols.iter().zip(&self.coords).enumerate() {
+            if let Some(msg) = p.catch_up(coord) {
+                encode(&Frame::Down { counter: c as u32, msg }, &mut buf);
             }
         }
         self.stats.bytes += buf.len() as u64;
@@ -1095,10 +1080,11 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
 
     /// Begin closing epoch `epochs_closed`, at exactly this point in the
     /// packet sequence: pre-ack the dead sites, swap in fresh per-counter
-    /// state (the old is superseded by the incoming settlements), then
-    /// broadcast `EpochRoll` (a control frame: bytes only, and it counts
-    /// toward `downs_since_flush` so the quiescence handshake waits for
-    /// the acks it will trigger).
+    /// state (the old is superseded by the incoming settlements; the dead
+    /// sites' absence reaches it with its first broadcast), then broadcast
+    /// `EpochRoll` (a control frame: bytes only, and it counts toward
+    /// `downs_since_flush` so the quiescence handshake waits for the acks
+    /// it will trigger).
     fn start_roll(&mut self) {
         self.rolling = true;
         for (a, s) in self.acked.iter_mut().zip(&self.status) {
@@ -1107,16 +1093,6 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
         for (coord, p) in self.coords.iter_mut().zip(self.protocols) {
             *coord = p.new_coord(self.k);
         }
-        // Fresh state assumes all k sites contribute: forget the dead ones
-        // again. It has no sync or report in flight, so this never
-        // broadcasts.
-        for site in 0..self.k {
-            if self.status[site] == SiteStatus::Dead {
-                self.forget(site);
-            }
-        }
-        // Every protocol restarts at round 0: so does the catch-up cache.
-        self.rounds.fill((0, 1.0));
         self.downs_since_flush += 1;
         let mut buf = BytesMut::new();
         encode(&Frame::EpochRoll { epoch: self.epochs_closed }, &mut buf);
@@ -1201,16 +1177,27 @@ impl<'a, P: CounterProtocol, D: DownSender> Coord<'a, P, D> {
 
     /// Issue one protocol broadcast (`Frame::Down`) to every site, with
     /// the paper's accounting: one logical broadcast, `k` down messages.
+    /// Then re-deliver each dead site's absence to the counter
+    /// ([`CounterProtocol::site_crashed`], idempotent), so a reply quorum
+    /// the broadcast opened never waits on a site that cannot answer; a
+    /// broadcast that completes is issued in turn.
     fn issue_broadcast(&mut self, counter: u32, msg: DownMsg) {
-        if let DownMsg::NewRound { round, p } = msg {
-            self.rounds[counter as usize] = (round, p);
+        let c = counter as usize;
+        let mut next = Some(msg);
+        while let Some(msg) = next.take() {
+            self.stats.broadcasts += 1;
+            self.stats.down_messages += self.k as u64;
+            self.downs_since_flush += 1;
+            let mut buf = BytesMut::new();
+            encode(&Frame::Down { counter, msg }, &mut buf);
+            self.send_down_all(buf.freeze());
+            for site in 0..self.k {
+                if self.status[site] == SiteStatus::Dead {
+                    let down = self.protocols[c].site_crashed(&mut self.coords[c], site);
+                    next = next.or(down);
+                }
+            }
         }
-        self.stats.broadcasts += 1;
-        self.stats.down_messages += self.k as u64;
-        self.downs_since_flush += 1;
-        let mut buf = BytesMut::new();
-        encode(&Frame::Down { counter, msg }, &mut buf);
-        self.send_down_all(buf.freeze());
     }
 
     /// Send a flush barrier down every site link.
@@ -1691,7 +1678,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::DownLane;
+    use crate::transport::LinkClosed;
     use dsbn_counters::wire::WireError;
     use dsbn_counters::{DeterministicProtocol, ExactProtocol, HyzProtocol};
     use dsbn_datagen::chunk_events;
@@ -2088,11 +2075,20 @@ mod tests {
 
     // ---- decode/protocol error paths (no panic reachable from bytes) ----
 
-    /// A coordinator wired to nowhere: `send_down_all` tolerates closed
-    /// links, so the tests can drive it packet by packet, no threads.
-    fn lone_coord<P: CounterProtocol>(protocols: &[P], k: usize) -> Coord<'_, P, DownLane> {
-        let down_txs = (0..k).map(|_| site_inbox(1).1).collect();
-        Coord::new(protocols, k, 8, down_txs, None, 0)
+    /// Everything a lone coordinator sent one site, in order.
+    type Tape = Vec<DownPacket>;
+
+    impl DownSender for Tape {
+        fn send(&mut self, pkt: DownPacket) -> Result<(), LinkClosed> {
+            self.push(pkt);
+            Ok(())
+        }
+    }
+
+    /// A coordinator whose down links only record, so the tests can drive
+    /// it packet by packet, no threads.
+    fn lone_coord<P: CounterProtocol>(protocols: &[P], k: usize) -> Coord<'_, P, Tape> {
+        Coord::new(protocols, k, 8, vec![Tape::new(); k], None, 0)
     }
 
     #[test]
@@ -2237,14 +2233,14 @@ mod tests {
     // ---- the epoch roll and the site roster, driven without threads ----
 
     /// `site` acks the roll of `epoch` with an empty settlement.
-    fn ack(coord: &mut Coord<'_, ExactProtocol, DownLane>, site: usize, epoch: u32) {
+    fn ack<P: CounterProtocol>(coord: &mut Coord<'_, P, Tape>, site: usize, epoch: u32) {
         let mut buf = BytesMut::new();
         encode(&Frame::EpochAck { epoch }, &mut buf);
         coord.handle_control(site, buf.freeze()).expect("a well-formed ack");
     }
 
     /// `site`'s terminal `Crashed` marker, with no torn packet.
-    fn crash(coord: &mut Coord<'_, ExactProtocol, DownLane>, site: usize) {
+    fn crash<P: CounterProtocol>(coord: &mut Coord<'_, P, Tape>, site: usize) {
         coord.handle_crashed(site, Bytes::new()).expect("a first crash");
     }
 
@@ -2401,6 +2397,111 @@ mod tests {
             assert_eq!(snap.settled, vec![5.0], "by_crash {by_crash}");
             assert_eq!(snap.closed, vec![vec![5.0]], "by_crash {by_crash}");
         }
+    }
+
+    /// The last broadcast on `site`'s down link.
+    fn last_broadcast<P: CounterProtocol>(coord: &Coord<'_, P, Tape>, site: usize) -> DownMsg {
+        let Some(DownPacket::Data(payload)) = coord.down_txs[site].last() else {
+            panic!("no broadcast last on site {site}'s link");
+        };
+        let mut down = None;
+        visit_packet(payload.clone(), |item| {
+            if let WireItem::Down { msg, .. } = item {
+                down = Some(msg);
+            }
+        })
+        .unwrap();
+        down.unwrap()
+    }
+
+    /// `site` reports rising counts on counter 0 until the report that
+    /// opens the counter's sync.
+    fn report_until_sync(coord: &mut Coord<'_, HyzProtocol, Tape>, site: usize) {
+        let round = coord.coords[0].round();
+        let broadcasts = coord.stats.broadcasts;
+        for value in 1..1_000 {
+            coord.handle_updates(site, up_packet(UpMsg::Report { round, value })).unwrap();
+            if coord.stats.broadcasts > broadcasts {
+                assert_eq!(last_broadcast(coord, site), DownMsg::SyncRequest { round });
+                return;
+            }
+        }
+        panic!("no sync opened");
+    }
+
+    /// `site` answers counter 0's open sync with its count `value`.
+    fn reply(coord: &mut Coord<'_, HyzProtocol, Tape>, site: usize, value: u64) {
+        let round = coord.coords[0].round();
+        coord.handle_updates(site, up_packet(UpMsg::SyncReply { round, value })).unwrap();
+    }
+
+    #[test]
+    fn a_sync_opened_while_a_site_is_dead_completes_without_it() {
+        let protocols = [HyzProtocol::new(0.9)];
+        let mut coord = lone_coord(&protocols, 3);
+        crash(&mut coord, 1);
+        report_until_sync(&mut coord, 0);
+        reply(&mut coord, 0, 50);
+        assert_eq!(coord.coords[0].round(), 0, "the sync must wait on site 2");
+        reply(&mut coord, 2, 3);
+        let p = coord.coords[0].p();
+        assert_eq!(last_broadcast(&coord, 0), DownMsg::NewRound { round: 1, p });
+        assert_eq!(coord.estimates(), vec![53.0]);
+    }
+
+    #[test]
+    fn a_site_dead_across_a_roll_does_not_wedge_the_first_sync_of_the_new_epoch() {
+        let protocols = [HyzProtocol::new(0.9)];
+        let mut coord = lone_coord(&protocols, 3);
+        crash(&mut coord, 1);
+        coord.request_roll();
+        ack(&mut coord, 0, 0);
+        ack(&mut coord, 2, 0);
+        assert_eq!((coord.rolling, coord.epochs_closed), (false, 1));
+        // The new epoch's state is fresh: the dead site's absence reaches
+        // it with the sync request.
+        report_until_sync(&mut coord, 2);
+        reply(&mut coord, 0, 4);
+        reply(&mut coord, 2, 6);
+        assert_eq!(coord.coords[0].round(), 1);
+        assert_eq!(coord.estimates(), vec![10.0]);
+    }
+
+    #[test]
+    fn a_revive_catches_each_counter_up_to_its_round() {
+        // Counter 0 reaches round 1 and counter 1 stays at round 0.
+        let protocols = [HyzProtocol::new(0.5), HyzProtocol::new(0.5)];
+        let mut coord = lone_coord(&protocols, 2);
+        // A revive at round 0 carries nothing: a fresh site is there.
+        crash(&mut coord, 1);
+        let bytes = coord.stats.bytes;
+        coord.handle_inject(1, false).unwrap();
+        assert!(matches!(coord.down_txs[1].last(), Some(DownPacket::Revive(b)) if b.is_empty()));
+        assert_eq!(coord.stats.bytes, bytes);
+        report_until_sync(&mut coord, 0);
+        reply(&mut coord, 0, 3);
+        reply(&mut coord, 1, 0);
+        let (round, p) = (coord.coords[0].round(), coord.coords[0].p());
+        assert_eq!((round, coord.coords[1].round()), (1, 0));
+        // Past round 0 the payload is one `NewRound` frame per such
+        // counter, the open round's `(round, p)`, counted in the bytes.
+        crash(&mut coord, 1);
+        let bytes = coord.stats.bytes;
+        coord.handle_inject(1, false).unwrap();
+        let mut want = BytesMut::new();
+        encode(&Frame::Down { counter: 0, msg: DownMsg::NewRound { round, p } }, &mut want);
+        assert!(
+            matches!(coord.down_txs[1].last(), Some(DownPacket::Revive(b)) if b[..] == want[..]),
+            "{:?}",
+            coord.down_txs[1].last()
+        );
+        assert_eq!(coord.stats.bytes, bytes + want.len() as u64);
+        // The rejoined site is back in the quorum: the next sync waits on it.
+        report_until_sync(&mut coord, 0);
+        reply(&mut coord, 0, 9);
+        assert_eq!(coord.coords[0].round(), 1, "the sync must wait on the rejoined site");
+        reply(&mut coord, 1, 0);
+        assert_eq!(coord.coords[0].round(), 2);
     }
 
     #[test]

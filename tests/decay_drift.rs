@@ -44,12 +44,16 @@ fn tracker_digest(net: &BayesianNetwork, t: &AnyTracker, seed: u64) -> u64 {
 /// [`tracker_digest`] of `build_tracker` at the last commit where the
 /// never-rolling and the epoch-rolling tracker were two types (PR 11), per
 /// (network, seed, scheme): the never-rolling tracker must still produce
-/// exactly these.
+/// exactly these. The two sprinkler NonUniform entries were re-captured
+/// when the HYZ coordinator began keeping its round sums in integers: the
+/// message and byte counts stayed the same, and every estimate moved by at
+/// most one ulp. The ALARM NonUniform runs never leave `p = 1`, where the
+/// two sums agree exactly.
 const PLAIN_TRACKER_DIGESTS: [(&str, u64, Scheme, u64); 8] = [
     ("sprinkler", 1, Scheme::ExactMle, 0xd26de2f4be1a6a4d),
-    ("sprinkler", 1, Scheme::NonUniform, 0x7ba88d20a79a38ae),
+    ("sprinkler", 1, Scheme::NonUniform, 0xddf6df08c4c32d5c),
     ("sprinkler", 9, Scheme::ExactMle, 0x3613bea8148dfa6e),
-    ("sprinkler", 9, Scheme::NonUniform, 0xe213c76cc230d634),
+    ("sprinkler", 9, Scheme::NonUniform, 0x3557fb1c4899db66),
     ("alarm", 1, Scheme::ExactMle, 0x586ce737559a6a4f),
     ("alarm", 1, Scheme::NonUniform, 0x5af09fff240b3cdf),
     ("alarm", 9, Scheme::ExactMle, 0x97e6835b70c520a4),
